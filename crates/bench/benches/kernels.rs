@@ -378,7 +378,7 @@ fn write_kernels_json(c: &Criterion, quick: bool) {
     ));
     for (i, s) in c.summaries().iter().enumerate() {
         out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"low_ns\": {:.1}, \"high_ns\": {:.1}}}{}\n",
+            "  {{\"id\": \"{}\", \"median_ns\": {:.3}, \"low_ns\": {:.3}, \"high_ns\": {:.3}}}{}\n",
             s.id,
             s.median_ns,
             s.low_ns,

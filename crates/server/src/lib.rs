@@ -20,11 +20,10 @@
 //!   full lane answers `Busy` for *that domain only* and weighted
 //!   round-robin batch formation stops a slow-domain burst from
 //!   inflating every domain's tail.
-//! * [`server`] — connection handling (a nonblocking [`sys`]-backed
-//!   reactor by default, so connection count costs file descriptors
-//!   instead of threads; the PR 4 thread-per-connection backend stays
-//!   selectable via [`Backend`] for differential testing) and the
-//!   weighted-fair dispatchers that coalesce up to `B` queued queries
+//! * [`server`] — connection handling (one nonblocking [`sys`]-backed
+//!   reactor thread, so connection count costs file descriptors
+//!   instead of threads; serving therefore needs a unix platform) and
+//!   the weighted-fair dispatchers that coalesce up to `B` queued queries
 //!   per fan-out so the network path inherits the service layer's
 //!   batch amortization on the shared persistent
 //!   [`WorkerPool`](pigeonring_service::WorkerPool). Lane weights come
@@ -60,17 +59,27 @@ pub mod weights;
 pub mod wire;
 
 pub use client::{Client, ClientError, Outcome};
-pub use queue::{lane_of, BoundedQueue, FairQueue, PushError, NUM_LANES};
+pub use queue::{lane_of, FairQueue, PushError, NUM_LANES};
 pub use registry::{EngineSet, EngineSpec};
 pub use server::{
-    start, start_with_handler, Backend, Handler, ServerConfig, ServerHandle, ServerMetrics,
-    SlowQuery,
+    start, start_with_handler, Handler, ServerConfig, ServerHandle, ServerMetrics, SlowQuery,
 };
 pub use weights::{CostEmaWeights, LaneWeightPolicy, WeightConfigError, DEFAULT_STATIC_WEIGHTS};
 pub use wire::{
     Domain, DomainQuery, ErrorCode, Request, Response, WireError, CONNECTION_REQUEST_ID,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+
+/// Locks a mutex, recovering the guard when a panicking holder
+/// poisoned it. Every mutex in this crate guards state that stays
+/// consistent after any partial update (a single `VecDeque` operation,
+/// a flag, a ring of owned entries, a mailbox of replies), so serving
+/// on recovered state is always sound — aborting the reactor, a
+/// dispatcher or a Stats snapshot because a sibling thread died
+/// holding the lock would not be.
+pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 // Re-exported so handler implementations (`Handler` takes a
 // `&TraceBatch`) need no direct telemetry dependency.

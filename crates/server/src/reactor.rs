@@ -1,21 +1,20 @@
-//! The nonblocking reactor backend: one thread multiplexes every
-//! connection over [`sys::Poller`] readiness events.
+//! The nonblocking reactor: one thread multiplexes every connection
+//! over [`sys::Poller`] readiness events.
 //!
 //! Per connection the reactor keeps a small state machine — an
 //! incremental [`FrameDecoder`] on the read side, a queue of encoded
-//! response frames plus a write cursor on the write side — and
-//! reproduces the threaded backend's semantics exactly:
+//! response frames plus a write cursor on the write side — and holds
+//! these invariants:
 //!
-//! * **Admission**: every complete frame goes through the same
-//!   [`handle_payload`] the threaded reader uses; protocol behavior is
-//!   shared code, not a reimplementation.
+//! * **Admission**: every complete frame goes through
+//!   [`handle_payload`], which sends exactly one response per frame;
+//!   protocol behavior lives there, not here.
 //! * **Reply budget**: `outstanding` counts responses
 //!   admitted-or-unwritten, incremented when a frame is accepted for
 //!   handling and decremented when its response's last byte reaches
-//!   the socket — the same ledger [`ReplyBudget`] keeps with a mutex.
-//!   At `conn_in_flight` the reactor stops parsing *and drops read
-//!   interest*, so the kernel's receive window fills and the client
-//!   blocks: real TCP backpressure without a parked thread.
+//!   the socket. At `conn_in_flight` the reactor stops parsing *and
+//!   drops read interest*, so the kernel's receive window fills and the
+//!   client blocks: real TCP backpressure without a parked thread.
 //! * **Writer-stall teardown**: a connection that accepts no bytes for
 //!   30 s ([`WRITER_STALL_TIMEOUT`]) while replies are buffered is
 //!   counted in `server.writer.stalls` and torn down — after a
@@ -30,7 +29,7 @@
 //! Dispatchers hand finished responses to [`ReactorShared::send`]: a
 //! mailbox plus a [`sys::Waker`] kick that interrupts a blocked
 //! [`sys::Poller::wait`]. Stall deadlines are folded into the wait
-//! timeout, replacing the threaded backend's per-socket write timeout.
+//! timeout, so no socket carries a write timeout of its own.
 
 #![cfg(unix)]
 
@@ -42,10 +41,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::lock_recover;
 use crate::queue::FairQueue;
 use crate::server::{
-    error_response, handle_payload, lock_recover, response_payload, FrameDisposition, Job,
-    ReplySink, ServerMetrics, WRITER_STALL_TIMEOUT,
+    error_response, handle_payload, response_payload, FrameDisposition, Job, ReplySink,
+    ServerMetrics,
 };
 use crate::sys;
 use crate::wire::{ErrorCode, FrameDecoder, Response, WireError, CONNECTION_REQUEST_ID};
@@ -59,6 +59,11 @@ const FIRST_CONN: u64 = 2;
 
 /// Bytes pulled off a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// How long a connection with buffered replies may accept no bytes
+/// before the reactor declares the client wedged and tears the
+/// connection down (which frees its buffered replies).
+const WRITER_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The dispatcher-facing half of the reactor: finished responses land
 /// in the mailbox and the waker interrupts a blocked poll wait so the
@@ -353,8 +358,8 @@ impl Reactor {
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
                     if conn.decoder.has_partial() {
-                        // EOF inside a frame: the same typed error the
-                        // blocking `read_frame` raises.
+                        // EOF inside a frame: a typed `Truncated`
+                        // error, then wind down.
                         self.metrics.frames_rejected.inc();
                         self.metrics.errors.inc();
                         conn.outstanding += 1;
@@ -399,10 +404,9 @@ impl Reactor {
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => {
                     // The frame will produce exactly one response:
-                    // reserve its budget slot, exactly like the
-                    // threaded reader's `budget.reserve()`.
+                    // reserve its budget slot before handling it.
                     conn.outstanding += 1;
-                    let sink = ReplySink::Reactor {
+                    let sink = ReplySink {
                         conn: token,
                         shared: Arc::clone(&self.shared),
                     };
@@ -414,9 +418,9 @@ impl Reactor {
                         &self.metrics,
                     );
                     if matches!(disposition, FrameDisposition::Terminal) {
-                        // Mirror of the threaded reader's `break`: any
-                        // bytes already buffered past the terminal
-                        // frame are never parsed.
+                        // The terminal frame's response is the
+                        // connection's last: bytes already buffered
+                        // past it are never parsed.
                         let Some(conn) = self.conns.get_mut(&token) else {
                             return;
                         };
@@ -427,8 +431,8 @@ impl Reactor {
                 Ok(None) => return,
                 Err(e) => {
                     // Undecodable frame boundary (oversized length):
-                    // same accounting as the threaded read_frame error
-                    // path — typed error, then wind down.
+                    // count the rejected frame, answer a typed error
+                    // in its budget slot, then wind down.
                     self.metrics.frames_rejected.inc();
                     self.metrics.errors.inc();
                     conn.outstanding += 1;
@@ -471,9 +475,8 @@ impl Reactor {
                     {
                         conn.outbuf.pop_front();
                         conn.front_pos = 0;
-                        // Response fully on the wire: release the
-                        // budget slot (the threaded writer's
-                        // `budget.release()`).
+                        // Response fully on the wire: release its
+                        // budget slot.
                         let was_at_cap = conn.outstanding >= self.cap;
                         conn.outstanding = conn.outstanding.saturating_sub(1);
                         if was_at_cap && conn.outstanding < self.cap && !conn.closing {
@@ -483,8 +486,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // The client stopped draining: arm the stall
-                    // deadline (the reactor's version of the 30 s
-                    // write timeout).
+                    // deadline.
                     if conn.stall_deadline.is_none() {
                         conn.stall_deadline = Some(Instant::now() + WRITER_STALL_TIMEOUT);
                     }
@@ -623,9 +625,9 @@ impl Reactor {
     }
 }
 
-/// Encodes `response` (through the same frame-cap substitution choke
-/// point as the threaded writer) and appends it to the connection's
-/// write buffer.
+/// Encodes `response` (through the frame-cap substitution in
+/// [`response_payload`]) and appends it to the connection's write
+/// buffer.
 fn enqueue_frame(conn: &mut Conn, response: &Response) {
     let payload = response_payload(response);
     let mut frame = Vec::with_capacity(4 + payload.len());

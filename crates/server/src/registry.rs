@@ -32,6 +32,7 @@ use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold, TokenDicti
 use pigeonring_telemetry::trace::{kind, ShardTrace, TraceBatch};
 use pigeonring_telemetry::{Counter, MetricsRegistry, SpanHandle};
 
+use crate::lock_recover;
 use crate::wire::{Domain, DomainQuery, ErrorCode, Response, CONNECTION_REQUEST_ID};
 
 /// Everything needed to reconstruct the served datasets and engines
@@ -475,7 +476,7 @@ impl EngineSet {
             // poisoned lock (a panicking engine on another dispatcher)
             // is safe to keep using.
             let _heavy_guard = if estimate(di) > HEAVY_GROUP_NS {
-                Some(self.heavy.lock().unwrap_or_else(|e| e.into_inner()))
+                Some(lock_recover(&self.heavy))
             } else {
                 None
             };

@@ -1,16 +1,15 @@
 //! Admission control end to end: with lane depth `Q` and a stalled
 //! worker pool, request `Q+1` of that domain receives a typed `Busy` —
 //! immediately, without queueing — and every previously queued request
-//! still completes once the pool unstalls.
+//! still completes once the pool unstalls. Shutdown answers in-flight
+//! frames with a terminal error and refuses new connections.
 
-mod common;
-
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pigeonring_server::server::{start_with_handler, Backend, Handler, ServerConfig};
+use pigeonring_server::server::{start_with_handler, Handler, ServerConfig};
 use pigeonring_server::wire::{DomainQuery, ErrorCode, Response, CONNECTION_REQUEST_ID};
 use pigeonring_server::{Client, ClientError, Outcome};
 
@@ -19,9 +18,8 @@ const Q: usize = 3;
 /// A single-dispatcher config so the tests can reason about exactly one
 /// in-flight batch (the pipelining tests cover multi-dispatcher
 /// behavior).
-fn config(backend: Backend, lane_depth: usize) -> ServerConfig {
+fn config(lane_depth: usize) -> ServerConfig {
     ServerConfig {
-        backend,
         lane_depth,
         micro_batch: 1,
         dispatchers: 1,
@@ -52,8 +50,8 @@ fn echo(queries: &[DomainQuery], emit: &mut dyn FnMut(usize, Response)) {
     }
 }
 
-/// Spin-waits for `cond` (the queue fills asynchronously as connection
-/// threads push).
+/// Spin-waits for `cond` (the queue fills asynchronously as the reactor
+/// admits frames).
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
@@ -64,10 +62,6 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn queue_overflow_answers_busy_and_queued_requests_complete() {
-    common::for_each_backend(queue_overflow_answers_busy_and_queued_requests_complete_on);
-}
-
-fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend) {
     // A handler that blocks on a gate: the "stalled pool". It records
     // which queries it eventually served so we can prove none of the
     // admitted requests was dropped or corrupted.
@@ -95,7 +89,7 @@ fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend)
     };
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, Q)).expect("server starts");
+    let handle = start_with_handler(listener, handler, config(Q)).expect("server starts");
     let addr = handle.addr();
 
     // Request 0 is popped by the dispatcher, which then stalls on the
@@ -150,18 +144,23 @@ fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend)
 
 #[test]
 fn shutdown_answers_terminal_internal_error_not_busy() {
-    common::for_each_backend(shutdown_answers_terminal_internal_error_not_busy_on);
+    shutdown_is_terminal_and_refuses_connections("127.0.0.1:0");
+    // A wildcard bind, reached through loopback: shutdown must close
+    // the listener itself, not just stop accepting on one address.
+    shutdown_is_terminal_and_refuses_connections("0.0.0.0:0");
 }
 
-fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
+/// Binds `bind`, serves one query, shuts down, and checks the shutdown
+/// contract on the connection that outlives it and on a fresh dial.
+fn shutdown_is_terminal_and_refuses_connections(bind: &str) {
     // A client that is mid-connection when the server shuts down must
     // see a *terminal* typed error, not a retryable Busy — otherwise
     // well-behaved retry loops hammer a dying server.
     let handler: Handler =
         Arc::new(|queries: Vec<DomainQuery>, _traces, emit| echo(&queries, emit));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, Q)).expect("server starts");
-    let addr = handle.addr();
+    let listener = TcpListener::bind(bind).expect("bind");
+    let handle = start_with_handler(listener, handler, config(Q)).expect("server starts");
+    let addr = SocketAddr::new(Ipv4Addr::LOCALHOST.into(), handle.addr().port());
 
     let mut client = Client::connect(addr).expect("connect");
     assert_eq!(
@@ -169,9 +168,23 @@ fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
         Outcome::Results(vec![5])
     );
 
-    // Shutdown closes the lanes; the connection thread stays up long
-    // enough to answer in-flight frames.
     handle.shutdown();
+
+    // No connection is accepted after shutdown() returns: the listener
+    // is closed, so a fresh dial is refused outright. Dial while the
+    // first client is still connected — the reactor is still running
+    // then, so only the closed listener can refuse it.
+    match TcpStream::connect(addr) {
+        Err(e) => assert_eq!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionRefused,
+            "dial after shutdown ({bind}): {e}"
+        ),
+        Ok(_) => panic!("a connection to {addr} was accepted after shutdown (bound {bind})"),
+    }
+
+    // Shutdown closed the lanes; the reactor keeps serving the open
+    // connection long enough to answer in-flight frames.
     match client.search(query(6)) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::Internal);
@@ -186,10 +199,6 @@ fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
 
 #[test]
 fn busy_connection_stays_usable() {
-    common::for_each_backend(busy_connection_stays_usable_on);
-}
-
-fn busy_connection_stays_usable_on(backend: Backend) {
     // After a Busy, the same connection can retry and succeed.
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
@@ -212,7 +221,7 @@ fn busy_connection_stays_usable_on(backend: Backend) {
         }
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, 1)).expect("server starts");
+    let handle = start_with_handler(listener, handler, config(1)).expect("server starts");
     let addr = handle.addr();
 
     let head = std::thread::spawn(move || {
