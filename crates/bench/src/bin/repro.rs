@@ -37,7 +37,7 @@ use pigeonring_editdist::{
 };
 use pigeonring_graph::{Graph, GraphParams, Pars, RingGraph};
 use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, RingHamming};
-use pigeonring_service::{ShardedIndex, Sweep};
+use pigeonring_service::{ShardedIndex, Sweep, WorkerPool};
 use pigeonring_setsim::{
     AdaptSearch, Collection, PartAlloc, RingSetSim, SetParams, Threshold, TokenDictionary,
 };
@@ -526,7 +526,7 @@ fn fig7_classic(scale: Scale) {
 /// the plan is shared across all `K` shards *and* the whole `l` sweep
 /// via [`Sweep::run_with_plans`].
 fn fig7_sharded(scale: Scale, opts: &ServiceOpts, shards: usize) {
-    let threads = opts.threads_for(shards);
+    let pool = WorkerPool::new(opts.threads_for(shards));
     let mut rep = Report::new(
         &format!("fig7_editdist_chain_shards{shards}"),
         &[
@@ -561,7 +561,7 @@ fn fig7_sharded(scale: Scale, opts: &ServiceOpts, shards: usize) {
             .collect();
         for tau in taus {
             let kappa = kappa_for(setup.name, tau);
-            let index = ShardedIndex::build_global(
+            let index = ShardedIndex::build(
                 setup.strings.clone(),
                 shards,
                 |corpus| Arc::new(GramDictionary::build(corpus, kappa, GramOrder::Frequency)),
@@ -574,9 +574,7 @@ fn fig7_sharded(scale: Scale, opts: &ServiceOpts, shards: usize) {
             );
             // One plan set serves every l below (plans are l-independent).
             let plan_start = Instant::now();
-            let plans = index
-                .plan_batch(&queries)
-                .expect("dictionary-first build shares plans");
+            let plans = index.plan_batch(&queries);
             let plan_ms = plan_start.elapsed().as_secs_f64() * 1e3;
             for l in 1..=4usize.min(tau + 1) {
                 let (row, stats) = sweep.run_with_plans(
@@ -588,7 +586,7 @@ fn fig7_sharded(scale: Scale, opts: &ServiceOpts, shards: usize) {
                     plan_ms,
                     &EditParams { l },
                     opts.batch,
-                    threads,
+                    &pool,
                 );
                 let nq = queries.len() as f64;
                 rep.row(&[
@@ -877,11 +875,12 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = HammingParams { tau: 48, l: 5 };
         let mut base_qps = None;
         for &k in &shard_counts {
-            // No dictionary for hamming: the legacy build avoids the
-            // plan-once machinery's per-query `Arc<()>` overhead.
-            let index = ShardedIndex::build(data.clone(), k, |shard| {
-                RingHamming::build(shard, 16, AllocationStrategy::CostModel)
-            });
+            let index = ShardedIndex::build(
+                data.clone(),
+                k,
+                |_| (),
+                |_, shard| RingHamming::build(shard, 16, AllocationStrategy::CostModel),
+            );
             let (row, _) = sw.run(
                 "hamming",
                 "gist",
@@ -889,7 +888,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
                 &queries,
                 &params,
                 opts.batch,
-                opts.threads_for(k),
+                &WorkerPool::new(opts.threads_for(k)),
             );
             let base = *base_qps.get_or_insert(row.qps);
             record(&mut rep, row, base);
@@ -904,7 +903,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = SetParams { l: 2 };
         let mut base_qps = None;
         for &k in &shard_counts {
-            let index = ShardedIndex::build_global(
+            let index = ShardedIndex::build(
                 data.clone(),
                 k,
                 |corpus| Arc::new(TokenDictionary::build(corpus)),
@@ -923,7 +922,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
                 &queries,
                 &params,
                 opts.batch,
-                opts.threads_for(k),
+                &WorkerPool::new(opts.threads_for(k)),
             );
             let base = *base_qps.get_or_insert(row.qps);
             record(&mut rep, row, base);
@@ -940,7 +939,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = EditParams { l: 3 };
         let mut base_qps = None;
         for &k in &shard_counts {
-            let index = ShardedIndex::build_global(
+            let index = ShardedIndex::build(
                 data.clone(),
                 k,
                 |corpus| Arc::new(GramDictionary::build(corpus, kappa, GramOrder::Frequency)),
@@ -958,7 +957,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
                 &queries,
                 &params,
                 opts.batch,
-                opts.threads_for(k),
+                &WorkerPool::new(opts.threads_for(k)),
             );
             let base = *base_qps.get_or_insert(row.qps);
             record(&mut rep, row, base);
@@ -974,8 +973,12 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = GraphParams { l: tau };
         let mut base_qps = None;
         for &k in &shard_counts {
-            // No dictionary for graph either (see the hamming note).
-            let index = ShardedIndex::build(data.clone(), k, |shard| RingGraph::build(shard, tau));
+            let index = ShardedIndex::build(
+                data.clone(),
+                k,
+                |_| (),
+                |_, shard| RingGraph::build(shard, tau),
+            );
             let (row, _) = sw.run(
                 "graph",
                 "aids",
@@ -983,7 +986,7 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
                 &queries,
                 &params,
                 opts.batch,
-                opts.threads_for(k),
+                &WorkerPool::new(opts.threads_for(k)),
             );
             let base = *base_qps.get_or_insert(row.qps);
             record(&mut rep, row, base);

@@ -12,7 +12,7 @@
 //! pivotal selection — identical in every shard of a partitioned
 //! collection, which is what lets the service layer compute a query's
 //! gram plan once and reuse it across shards
-//! (`ShardedIndex::build_global` in `pigeonring-service`).
+//! (`ShardedIndex::build` in `pigeonring-service`).
 //! [`QGramCollection::build`] keeps the legacy single-collection path:
 //! it builds a private dictionary from its own strings.
 

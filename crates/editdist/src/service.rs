@@ -2,17 +2,15 @@
 //! `pigeonring-service` sharded query layer.
 //!
 //! The plan ([`EditPlan`]) carries the query's interned prefix, pivotal
-//! grams, and character masks. With the legacy per-shard build each
-//! shard interns against its own gram dictionary, so plans are
-//! shard-local (the default `search_into` path). With a dictionary-first
-//! build (`ShardedIndex::build_global` over one corpus-wide
-//! [`GramDictionary`](crate::qgram::GramDictionary)) the global
-//! frequency order makes prefix/pivotal selection identical in every
-//! shard, so the service layer plans each query once and every shard
-//! executes the same plan.
+//! grams, and character masks. The service layer builds every shard
+//! against one corpus-wide
+//! [`GramDictionary`](crate::qgram::GramDictionary)
+//! (`ShardedIndex::build`), so the global frequency order makes
+//! prefix/pivotal selection identical in every shard: each query is
+//! planned once and every shard executes the same plan.
 //!
-//! Either way verification is exact edit distance, so the merged
-//! *result set* is identical for any shard count and either build path.
+//! Verification is exact edit distance, so the merged *result set* is
+//! identical for any shard count.
 
 use crate::pivotal::EditStats;
 use crate::ring::{EditPlan, EditScratch, RingEdit};

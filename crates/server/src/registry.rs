@@ -7,7 +7,7 @@
 //! two processes constructing an [`EngineSet`] from equal specs hold
 //! bit-identical datasets — which is what lets `repro server-smoke` (and
 //! CI) diff a network round-trip's `result_hash` against a direct
-//! in-process [`ShardedIndex::search_batch`] run.
+//! in-process [`ShardedIndex::search_batch_on`] run.
 //!
 //! [`EngineSet::run_streaming`] is the server's execution core: it
 //! takes one micro-batch of mixed-domain queries, groups them by domain
@@ -246,24 +246,25 @@ impl EngineSet {
     /// Builds all four domain indexes from `spec` (deterministic:
     /// equal specs ⇒ identical engines).
     ///
-    /// The dictionary-bearing domains go through the dictionary-first
-    /// [`ShardedIndex::build_global`] path: editdist shards share one
-    /// corpus-wide [`GramDictionary`] and setsim shards one
-    /// [`TokenDictionary`], so the service layer plans each query once
-    /// and every shard executes the same plan — batched mixed-domain
-    /// dispatches through the TCP frontend inherit plan sharing for
-    /// free. Hamming and graph have no dictionary and empty plans, so
-    /// they keep the legacy build: routing them through the plan-once
-    /// machinery would cost one `Arc<()>` per query for nothing.
+    /// Every domain goes through the one [`ShardedIndex::build`] path:
+    /// editdist shards share one corpus-wide [`GramDictionary`] and
+    /// setsim shards one [`TokenDictionary`], so the service layer plans
+    /// each query once and every shard executes the same plan — batched
+    /// mixed-domain dispatches through the TCP frontend inherit plan
+    /// sharing for free. Hamming and graph have no dictionary (`|_| ()`)
+    /// and empty plans.
     pub fn build(spec: EngineSpec) -> Self {
         let vectors = VectorConfig::gist_like(spec.hamming_n).generate();
         let hamming_dims = vectors.first().map_or(0, |v| v.dims());
         let m = spec.hamming_m;
-        let hamming = ShardedIndex::build(vectors, spec.shards, |shard| {
-            RingHamming::build(shard, m, AllocationStrategy::CostModel)
-        });
+        let hamming = ShardedIndex::build(
+            vectors,
+            spec.shards,
+            |_| (),
+            |_, shard| RingHamming::build(shard, m, AllocationStrategy::CostModel),
+        );
         let (tau, kappa) = (spec.edit_tau, spec.edit_kappa);
-        let edit = ShardedIndex::build_global(
+        let edit = ShardedIndex::build(
             StringConfig::imdb_like(spec.edit_n).generate(),
             spec.shards,
             |corpus| {
@@ -277,7 +278,7 @@ impl EngineSet {
             },
         );
         let (jaccard, set_m) = (Threshold::jaccard(spec.set_tau), spec.set_m);
-        let set = ShardedIndex::build_global(
+        let set = ShardedIndex::build(
             SetConfig::dblp_like(spec.set_n).generate(),
             spec.shards,
             |corpus| std::sync::Arc::new(TokenDictionary::build(corpus)),
@@ -293,7 +294,8 @@ impl EngineSet {
         let graph = ShardedIndex::build(
             GraphConfig::aids_like(spec.graph_n).generate(),
             spec.shards,
-            |shard| RingGraph::build(shard, graph_tau),
+            |_| (),
+            |_, shard| RingGraph::build(shard, graph_tau),
         );
         EngineSet {
             spec,
@@ -662,6 +664,8 @@ mod tests {
         batch.rotate_left(3);
         let responses = engines.run(&pool, batch.clone());
         assert_eq!(responses.len(), batch.len());
+        // The reference answers come from the calling-thread path.
+        let serial = WorkerPool::new(1);
         for (q, resp) in batch.iter().zip(&responses) {
             let Response::Results { ids, .. } = resp else {
                 panic!("expected results for {q:?}, got {resp:?}");
@@ -674,33 +678,33 @@ mod tests {
                     };
                     engines
                         .hamming_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
+                        .search_batch_on(&serial, std::slice::from_ref(query), &params)
+                        .remove(0)
                         .ids
-                        .clone()
                 }
                 DomainQuery::Edit { query, l } => {
                     let params = EditParams { l: *l as usize };
                     engines
                         .edit_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
+                        .search_batch_on(&serial, std::slice::from_ref(query), &params)
+                        .remove(0)
                         .ids
-                        .clone()
                 }
                 DomainQuery::Set { tokens, l } => {
                     let params = SetParams { l: *l as usize };
                     engines
                         .set_index()
-                        .search_batch(std::slice::from_ref(tokens), &params, 1)[0]
+                        .search_batch_on(&serial, std::slice::from_ref(tokens), &params)
+                        .remove(0)
                         .ids
-                        .clone()
                 }
                 DomainQuery::Graph { query, l } => {
                     let params = GraphParams { l: *l as usize };
                     engines
                         .graph_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
+                        .search_batch_on(&serial, std::slice::from_ref(query), &params)
+                        .remove(0)
                         .ids
-                        .clone()
                 }
             };
             assert_eq!(ids, &expect);

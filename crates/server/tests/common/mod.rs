@@ -1,17 +1,18 @@
 //! Shared oracle for the server suites: the result hash of a direct
-//! in-process `search_batch` run, which every served answer must match.
+//! in-process `search_batch_on` run, which every served answer must match.
 
 use pigeonring_editdist::EditParams;
 use pigeonring_graph::GraphParams;
 use pigeonring_hamming::HammingParams;
 use pigeonring_server::wire::{Domain, DomainQuery};
 use pigeonring_server::EngineSet;
-use pigeonring_service::ResultHasher;
+use pigeonring_service::{ResultHasher, WorkerPool};
 use pigeonring_setsim::SetParams;
 
-/// Fingerprint of a direct in-process `search_batch` run over the
+/// Fingerprint of a direct in-process `search_batch_on` run over the
 /// domain's standard query set.
 pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQuery]) -> u64 {
+    let pool = WorkerPool::new(2);
     let mut hasher = ResultHasher::new();
     match domain {
         Domain::Hamming => {
@@ -31,7 +32,10 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 tau: *tau,
                 l: *l as usize,
             };
-            for r in engines.hamming_index().search_batch(&batch, &params, 2) {
+            for r in engines
+                .hamming_index()
+                .search_batch_on(&pool, &batch, &params)
+            {
                 hasher.push(&r.ids);
             }
         }
@@ -49,7 +53,7 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = EditParams { l: *l as usize };
-            for r in engines.edit_index().search_batch(&batch, &params, 2) {
+            for r in engines.edit_index().search_batch_on(&pool, &batch, &params) {
                 hasher.push(&r.ids);
             }
         }
@@ -67,7 +71,7 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = SetParams { l: *l as usize };
-            for r in engines.set_index().search_batch(&batch, &params, 2) {
+            for r in engines.set_index().search_batch_on(&pool, &batch, &params) {
                 hasher.push(&r.ids);
             }
         }
@@ -85,7 +89,10 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = GraphParams { l: *l as usize };
-            for r in engines.graph_index().search_batch(&batch, &params, 2) {
+            for r in engines
+                .graph_index()
+                .search_batch_on(&pool, &batch, &params)
+            {
                 hasher.push(&r.ids);
             }
         }

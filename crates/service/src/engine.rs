@@ -34,11 +34,12 @@ pub trait MergeStats: Default + Send + 'static {
 /// [`SearchEngine::Plan`], and [`SearchEngine::search_planned`] executes
 /// it against this engine's postings. A plan is only valid for an engine
 /// whose *dictionary* agrees with the planning engine's — guaranteed
-/// when shards are built dictionary-first
-/// ([`ShardedIndex::build_global`](crate::sharded::ShardedIndex::build_global)),
-/// in which case the sharded layer plans each query exactly once and
-/// hands `&Plan` to every shard worker. Engines without data-dependent
-/// query-side work use `type Plan = ()`.
+/// for the shards of one
+/// [`ShardedIndex`](crate::sharded::ShardedIndex), which are all built
+/// against one shared dictionary, so the sharded layer plans each query
+/// exactly once and hands `&Plan` to every shard worker. Engines without
+/// data-dependent query-side work use `type Plan = ()`; they go through
+/// the same plan-once path with an empty plan.
 ///
 /// Everything is `'static` (and queries are `Clone`) so batches can be
 /// shipped to the persistent [`WorkerPool`](crate::pool::WorkerPool),
@@ -89,22 +90,5 @@ pub trait SearchEngine: Send + Sync + 'static {
     /// by whoever computed the plan.
     fn plan_stats(&self, _plan: &Self::Plan) -> Self::Stats {
         Self::Stats::default()
-    }
-
-    /// Plan-and-search in one call: the legacy per-shard path, used when
-    /// shards do not share a dictionary (each shard then plans — and
-    /// accounts plan statistics — for itself, exactly as before the
-    /// plan/execute split).
-    fn search_into(
-        &self,
-        scratch: &mut Self::Scratch,
-        query: &Self::Query,
-        params: &Self::Params,
-        out: &mut Vec<u32>,
-    ) -> Self::Stats {
-        let plan = self.plan(scratch, query);
-        let mut stats = self.search_planned(scratch, &plan, query, params, out);
-        stats.merge(&self.plan_stats(&plan));
-        stats
     }
 }

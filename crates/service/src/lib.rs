@@ -23,15 +23,15 @@
 //!   workers each own a long-lived, type-erased [`ScratchStore`]; spawned
 //!   once and reused across batches, indexes, and domains (it also backs
 //!   the `pigeonring-server` network frontend).
-//! * [`ShardedIndex`] — hash-partitions records across `N` shards, fans a
-//!   query batch out over the worker pool (one job per shard), and merges
-//!   per-shard result sets back into stable ascending record-id order.
-//!   [`ShardedIndex::build_global`] is the dictionary-first build: one
-//!   corpus-wide dictionary, shard-local postings, and each query's plan
-//!   computed exactly once ([`ShardedIndex::plan_batch`]) and shared by
-//!   every shard worker. Because every engine verifies candidates
-//!   exactly, the merged result set is *identical* to the unsharded
-//!   engine's for any shard count and either build path
+//! * [`ShardedIndex`] — hash-partitions records across `N` shards built
+//!   against one corpus-wide dictionary ([`ShardedIndex::build`], the one
+//!   build path), plans each query exactly once
+//!   ([`ShardedIndex::plan_batch`]), fans a query batch out over a
+//!   caller-owned worker pool (one job per shard,
+//!   [`ShardedIndex::search_batch_on`], the one search entry point), and
+//!   merges per-shard result sets back into stable ascending record-id
+//!   order. Because every engine verifies candidates exactly, the merged
+//!   result set is *identical* to a linear scan's for any shard count
 //!   (property-tested across all four domains).
 //! * [`Sweep`] — a throughput-sweep driver used by the `repro` binary's
 //!   `--shards K --batch B` flags and `sweep` subcommand; emits the

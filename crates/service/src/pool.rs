@@ -1,14 +1,15 @@
 //! A persistent, channel-fed worker pool with per-worker long-lived
 //! scratch.
 //!
-//! [`ShardedIndex::search_batch`] used to spawn scoped threads for every
-//! batch — fine at batch ≥ 16, wasteful for the tiny batches a network
-//! frontend produces (the ROADMAP "persistent worker pool" item). A
-//! [`WorkerPool`] spawns its threads once; jobs are boxed closures fed
-//! through a bounded-by-nothing internal queue (admission control is the
-//! *caller's* concern — see `pigeonring-server`; a live pool never
-//! rejects work, only a [shut-down](WorkerPool::shutdown) one does, and
-//! then visibly via [`JobRejected`]).
+//! Spawning scoped threads for every batch is fine at batch ≥ 16 but
+//! wasteful for the tiny batches a network frontend produces (the
+//! ROADMAP "persistent worker pool" item). A [`WorkerPool`] spawns its
+//! threads once and [`ShardedIndex::search_batch_on`] runs on it; jobs
+//! are boxed closures fed through a bounded-by-nothing internal queue
+//! (admission control is the *caller's* concern — see
+//! `pigeonring-server`; a live pool never rejects work, only a
+//! [shut-down](WorkerPool::shutdown) one does, and then visibly via
+//! [`JobRejected`]).
 //!
 //! Each worker owns a [`ScratchStore`]: a type-erased map from scratch
 //! type to one long-lived instance. A job asks for its engine's scratch
@@ -19,7 +20,7 @@
 //! within one batch, extended to the lifetime of the pool.
 //!
 //! [`ShardedIndex`]: crate::sharded::ShardedIndex
-//! [`ShardedIndex::search_batch`]: crate::sharded::ShardedIndex::search_batch
+//! [`ShardedIndex::search_batch_on`]: crate::sharded::ShardedIndex::search_batch_on
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};

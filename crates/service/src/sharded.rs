@@ -2,44 +2,32 @@
 //!
 //! [`ShardedIndex::build`] splits the record set into `N` shards by
 //! hashing global record ids (deterministic: the same records and shard
-//! count always produce the same partition), builds one engine per
-//! non-empty shard, and remembers each shard's global ids. At query time
-//! [`ShardedIndex::search_batch`] fans the batch out over a worker pool —
-//! one job per shard, each worker reusing its long-lived
-//! [`ScratchStore`](crate::pool::ScratchStore) scratch, so buffers stay
-//! warm across shards *and* batches — then merges per-shard result sets
-//! back into ascending *global* id order and aggregates statistics with
-//! [`MergeStats::merge`].
+//! count always produce the same partition), derives one **shared
+//! dictionary** (gram interning table, token rank space, …) from the
+//! *whole* record set, builds one engine per non-empty shard against it,
+//! and remembers each shard's global ids. Engines without a dictionary
+//! pass `|_| ()`.
 //!
 //! ## Plan once, execute per shard
 //!
-//! [`ShardedIndex::build_global`] is the **dictionary-first** build path:
-//! a caller-supplied closure derives one shared dictionary (gram interning
-//! table, token rank space, …) from the *whole* record set, and every
-//! shard engine is built against it. Because all shards then agree on the
-//! query-side structures, each query's [`SearchEngine::Plan`] is computed
-//! **exactly once** — by [`ShardedIndex::plan_batch`], against a
-//! long-lived planner scratch — and handed read-only to every shard
-//! worker, so query-side preprocessing no longer scales with the shard
-//! count. Plan-time statistics ([`SearchEngine::plan_stats`]) are folded
-//! in once per query. The legacy [`ShardedIndex::build`] keeps per-shard
-//! dictionaries; its shards plan for themselves inside
-//! [`SearchEngine::search_into`], exactly as before the split.
+//! Because all shards agree on the query-side structures, each query's
+//! [`SearchEngine::Plan`] is computed **exactly once** — by
+//! [`ShardedIndex::plan_batch`], against a long-lived planner scratch —
+//! and handed read-only to every shard, so query-side preprocessing does
+//! not scale with the shard count. [`ShardedIndex::search_batch_on`] then
+//! runs the batch on a caller-owned [`WorkerPool`] — one job per shard,
+//! each worker reusing its long-lived
+//! [`ScratchStore`](crate::pool::ScratchStore) scratch, so buffers stay
+//! warm across shards, batches and indexes — or on the calling thread
+//! when the index or the pool has a single lane. Per-shard result sets
+//! are merged back into ascending *global* id order in fixed shard order
+//! (so results are deterministic for any worker count), statistics are
+//! aggregated with [`MergeStats::merge`], and each query's plan-time
+//! statistics ([`SearchEngine::plan_stats`]) are folded in once.
 //!
-//! The pool is persistent (the ROADMAP "persistent worker pool" item):
-//! `search_batch` lazily spawns one sized to its `threads` argument and
-//! keeps it for later batches, while [`ShardedIndex::search_batch_on`]
-//! runs on a caller-owned [`WorkerPool`] — the path `pigeonring-server`
-//! uses so every index shares one pool behind the network boundary.
-//! Merging is by fixed shard order regardless of job completion order,
-//! so results are deterministic for any worker count.
-//!
-//! Every domain engine verifies its candidates exactly, so sharding —
-//! and the choice between the legacy and dictionary-first build paths —
-//! cannot change the result set: the union over shards of "records within
-//! the threshold" is exactly the unsharded answer, independent of how
-//! data-dependent build decisions (gram frequency orders, cost models)
-//! shift per-shard candidate counts.
+//! Every domain engine verifies its candidates exactly, so sharding
+//! cannot change the result set: the union over shards of "records
+//! within the threshold" is exactly the unsharded answer.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -52,14 +40,13 @@ use pigeonring_telemetry::trace::{kind, ShardTrace};
 use pigeonring_telemetry::{Histogram, MetricsRegistry, SpanHandle};
 
 /// Telemetry handles for one [`ShardedIndex`], attached via
-/// [`ShardedIndex::attach_metrics`]. Recorded on the shared-pool query
-/// path ([`ShardedIndex::search_batch_on`] — the path the server uses)
-/// and in [`ShardedIndex::plan_batch`].
+/// [`ShardedIndex::attach_metrics`]. Recorded in
+/// [`ShardedIndex::search_batch_on`] and [`ShardedIndex::plan_batch`].
 #[derive(Clone)]
 pub struct IndexMetrics {
     /// µs spent planning a batch (one observation per `plan_batch`).
     pub plan_us: Arc<Histogram>,
-    /// µs spent executing a batch end to end (fan-out + merge).
+    /// µs spent answering a batch end to end (plan + fan-out + merge).
     pub search_us: Arc<Histogram>,
     /// Queries per executed batch.
     pub batch_size: Arc<Histogram>,
@@ -124,7 +111,7 @@ pub fn shard_of(id: u64, shards: usize) -> usize {
 
 /// One query's merged answer: ascending global record ids plus the
 /// statistics aggregated over all shards.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SearchResult<S> {
     /// Global record ids within the threshold, ascending.
     pub ids: Vec<u32>,
@@ -144,34 +131,10 @@ struct Shard<E> {
 }
 
 impl<E: SearchEngine> Shard<E> {
-    /// Runs every query of `batch` against this shard (planning
-    /// per query locally — the legacy path), translating shard-local ids
-    /// to global ids.
-    fn run_batch(
-        &self,
-        scratch: &mut E::Scratch,
-        batch: &[E::Query],
-        params: &E::Params,
-    ) -> ShardBatch<E::Stats> {
-        batch
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                let stats = self.engine.search_into(scratch, q, params, &mut out);
-                for id in &mut out {
-                    // lint: allow(panic) — engines emit shard-local ids, which
-                    // index the shard's own id table by construction
-                    *id = self.ids[*id as usize];
-                }
-                (out, stats)
-            })
-            .collect()
-    }
-
-    /// Runs every query of `batch` against this shard with precomputed
-    /// plans (`plans[i]` belongs to `batch[i]`), translating shard-local
+    /// Runs every query of `batch` against this shard with its shared
+    /// plan (`plans[i]` belongs to `batch[i]`), translating shard-local
     /// ids to global ids.
-    fn run_batch_planned(
+    fn run_batch(
         &self,
         scratch: &mut E::Scratch,
         batch: &[E::Query],
@@ -201,27 +164,17 @@ impl<E: SearchEngine> Shard<E> {
 /// index.
 pub struct ShardedIndex<E> {
     /// Shared so per-shard jobs on the persistent pool (which outlive
-    /// any one `search_batch` stack frame) can hold the shards alive.
+    /// any one `search_batch_on` stack frame) can hold the shards alive.
     shards: Arc<Vec<Shard<E>>>,
     requested_shards: usize,
     total: usize,
-    /// Whether the shards were built dictionary-first
-    /// ([`ShardedIndex::build_global`]): query plans are then
-    /// shard-independent and computed once per query.
-    plan_once: bool,
-    /// Wall time spent building the shared dictionary (0 for the legacy
-    /// per-shard-dictionary path).
+    /// Wall time spent building the shared dictionary.
     dict_build_ms: f64,
     /// Long-lived planner scratch for [`ShardedIndex::plan_batch`]:
     /// plan-side buffers (gram/token scratch vectors) are reused across
     /// queries and batches instead of being allocated per query — the
     /// same [`ScratchStore`] mechanism the pool workers use.
     planner: Mutex<ScratchStore>,
-    /// Lazily-spawned interior pool for [`ShardedIndex::search_batch`];
-    /// resized (respawned) when a call asks for a different thread
-    /// count. Callers wanting to share one pool across indexes use
-    /// [`ShardedIndex::search_batch_on`] instead.
-    pool: Mutex<Option<WorkerPool>>,
     /// Optional telemetry (plan/search latency, batch sizes); attached
     /// once by the owning service, absent for bench/test builds.
     metrics: OnceLock<IndexMetrics>,
@@ -243,58 +196,21 @@ fn partition<R>(records: Vec<R>, shards: usize) -> Vec<(Vec<u32>, Vec<R>)> {
 }
 
 impl<E: SearchEngine> ShardedIndex<E> {
-    /// Hash-partitions `records` into `shards` shards and builds one
-    /// engine per non-empty shard via `build` (empty shards — possible
-    /// for tiny collections — are skipped, since the domain engines
-    /// reject empty datasets).
-    ///
-    /// This is the **legacy** build path: each shard derives its own
-    /// dictionary (gram/token frequency order) from its records alone,
-    /// so query plans are shard-local and each shard re-plans every
-    /// query. Prefer [`ShardedIndex::build_global`] for engines with a
-    /// dictionary.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn build<R>(records: Vec<R>, shards: usize, build: impl Fn(Vec<R>) -> E) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let requested_shards = shards;
-        let total = records.len();
-        let shards = partition(records, shards)
-            .into_iter()
-            .map(|(ids, records)| Shard {
-                engine: build(records),
-                ids,
-            })
-            .collect();
-        ShardedIndex {
-            shards: Arc::new(shards),
-            requested_shards,
-            total,
-            plan_once: false,
-            dict_build_ms: 0.0,
-            planner: Mutex::new(ScratchStore::default()),
-            pool: Mutex::new(None),
-            metrics: OnceLock::new(),
-        }
-    }
-
-    /// The **dictionary-first** build path: `dictionary` derives one
+    /// Hash-partitions `records` into `shards` shards, derives one
     /// shared artifact (a gram interning table, a token rank space, …)
-    /// from the *whole* record set, and `build` constructs each shard's
-    /// engine against it. All shards then agree on every query-side
-    /// structure, so the index plans each query exactly once
-    /// ([`ShardedIndex::plan_batch`]) and hands the plan to every shard —
-    /// query-side preprocessing stops scaling with the shard count, and
-    /// per-shard candidate statistics become invariant under resharding.
-    ///
-    /// Engines without a dictionary (`Plan = ()`) gain nothing from
-    /// this path — prefer the legacy [`ShardedIndex::build`] for them,
-    /// since plan-once execution still pays one `Arc` per query.
+    /// from the *whole* record set with `dictionary`, and builds one
+    /// engine per non-empty shard against it with `build` (empty shards
+    /// — possible for tiny collections — are skipped, since the domain
+    /// engines reject empty datasets). `build` must take every
+    /// query-side structure from the shared artifact: the index plans
+    /// each query once, on the first shard ([`ShardedIndex::plan_batch`]),
+    /// and every shard executes that plan — which also makes per-shard
+    /// candidate statistics invariant under resharding. Engines without
+    /// a dictionary pass `|_| ()`.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn build_global<R, D>(
+    pub fn build<R, D>(
         records: Vec<R>,
         shards: usize,
         dictionary: impl FnOnce(&[R]) -> D,
@@ -317,18 +233,16 @@ impl<E: SearchEngine> ShardedIndex<E> {
             shards: Arc::new(shards),
             requested_shards,
             total,
-            plan_once: true,
             dict_build_ms,
             planner: Mutex::new(ScratchStore::default()),
-            pool: Mutex::new(None),
             metrics: OnceLock::new(),
         }
     }
 
     /// Attaches telemetry to this index (first attach wins). Recorded
-    /// on the shared-pool query path and in
-    /// [`ShardedIndex::plan_batch`]; an un-instrumented index pays one
-    /// `OnceLock` load per batch.
+    /// in [`ShardedIndex::plan_batch`] and
+    /// [`ShardedIndex::search_batch_on`]; an un-instrumented index pays
+    /// one `OnceLock` load per batch.
     pub fn attach_metrics(&self, metrics: IndexMetrics) {
         let _ = self.metrics.set(metrics);
     }
@@ -348,33 +262,24 @@ impl<E: SearchEngine> ShardedIndex<E> {
         self.total
     }
 
-    /// Whether this index plans each query once and shares the plan
-    /// across shards (the [`ShardedIndex::build_global`] path).
-    pub fn plan_once(&self) -> bool {
-        self.plan_once
-    }
-
-    /// Wall time spent building the shared dictionary, in milliseconds
-    /// (0 for the legacy per-shard-dictionary path).
+    /// Wall time spent building the shared dictionary, in milliseconds.
     pub fn dictionary_build_ms(&self) -> f64 {
         self.dict_build_ms
     }
 
     /// Computes every query's plan exactly once against the index's
-    /// long-lived planner scratch. Returns `None` for legacy-built
-    /// indexes (per-shard dictionaries make plans shard-dependent) and
-    /// for empty indexes; callers then fall back to
-    /// [`ShardedIndex::search_batch`]'s per-shard planning.
+    /// long-lived planner scratch (`plans[i]` belongs to `batch[i]`).
+    /// An index with no shards has nothing to plan against and returns
+    /// an empty vector.
     ///
     /// Concurrent callers (the server's dispatcher threads) do not
     /// serialize here: the shared planner scratch is taken with
     /// `try_lock`, and a contended caller plans against a fresh local
     /// scratch instead of waiting out another batch's whole plan phase.
-    pub fn plan_batch(&self, batch: &[E::Query]) -> Option<Vec<Arc<E::Plan>>> {
-        if !self.plan_once {
-            return None;
-        }
-        let shard0 = self.shards.first()?;
+    pub fn plan_batch(&self, batch: &[E::Query]) -> Vec<Arc<E::Plan>> {
+        let Some(shard0) = self.shards.first() else {
+            return Vec::new();
+        };
         // A poisoned planner scratch (a plan panicked mid-update) is treated
         // like contention: plan against a fresh local scratch instead.
         let mut guard = self.planner.try_lock().ok();
@@ -391,132 +296,17 @@ impl<E: SearchEngine> ShardedIndex<E> {
         if let Some(m) = self.metrics.get() {
             m.plan_us.record(elapsed_us(start));
         }
-        Some(plans)
-    }
-
-    /// Answers a single query on the calling thread (all shards,
-    /// serially, one scratch). On a [`ShardedIndex::build_global`] index
-    /// the plan is computed once and reused by every shard, so the
-    /// query-side preprocessing cost is flat in the shard count.
-    ///
-    /// Convenience path: shards usually differ in record count, so the
-    /// shared scratch re-sizes on every shard transition. Hot callers
-    /// should prefer [`ShardedIndex::search_batch`], which amortizes the
-    /// resize across the whole batch (each worker serves entire shards).
-    pub fn search(&self, query: &E::Query, params: &E::Params) -> SearchResult<E::Stats> {
-        let mut scratch = E::Scratch::default();
-        let mut merged = SearchResult {
-            ids: Vec::new(),
-            stats: E::Stats::default(),
-        };
-        let plan = if self.plan_once {
-            self.shards
-                .first()
-                .map(|s0| Arc::new(s0.engine.plan(&mut scratch, query)))
-        } else {
-            None
-        };
-        for shard in self.shards.iter() {
-            let mut res = match &plan {
-                Some(p) => shard.run_batch_planned(
-                    &mut scratch,
-                    std::slice::from_ref(query),
-                    std::slice::from_ref(p),
-                    params,
-                ),
-                None => shard.run_batch(&mut scratch, std::slice::from_ref(query), params),
-            };
-            // lint: allow(panic) — run_batch returns one entry per query and
-            // exactly one query was passed
-            let (ids, stats) = res.pop().expect("one query in, one result out");
-            merged.ids.extend(ids);
-            merged.stats.merge(&stats);
-        }
-        if let Some(p) = &plan {
-            // lint: allow(panic) — plan_batch returned Some, so shards is
-            // non-empty
-            let shard0 = self.shards.first().expect("plan implies a shard");
-            merged.stats.merge(&shard0.engine.plan_stats(p));
-        }
-        merged.ids.sort_unstable();
-        merged
-    }
-
-    /// Answers a batch of queries with up to `threads` worker threads
-    /// from the index's interior persistent pool.
-    ///
-    /// On a [`ShardedIndex::build_global`] index every query is planned
-    /// exactly once ([`ShardedIndex::plan_batch`]) and the plan shared
-    /// by all shard jobs; legacy indexes plan per shard as before.
-    ///
-    /// The pool is spawned on the first parallel call and reused by
-    /// every later batch (respawned only when `threads` changes), so
-    /// steady-state batches pay zero thread-spawn cost and worker
-    /// scratch stays warm across batches. Results are merged in fixed
-    /// shard order and sorted, so the output is deterministic regardless
-    /// of thread scheduling: two runs of the same batch agree
-    /// bit-for-bit.
-    ///
-    /// Concurrent callers serialize on the interior pool; services
-    /// multiplexing many indexes should share one explicit pool via
-    /// [`ShardedIndex::search_batch_on`].
-    pub fn search_batch(
-        &self,
-        batch: &[E::Query],
-        params: &E::Params,
-        threads: usize,
-    ) -> Vec<SearchResult<E::Stats>> {
-        match self.plan_batch(batch) {
-            Some(plans) => self.search_batch_planned(batch, &plans, params, threads),
-            None => {
-                let ns = self.shards.len();
-                let workers = threads.clamp(1, ns.max(1));
-                if workers <= 1 || ns <= 1 {
-                    return self.merge(batch.len(), self.run_serial(batch, params, None));
-                }
-                let per_shard =
-                    self.with_interior_pool(workers, |pool| self.run_on(pool, batch, params, None));
-                self.merge(batch.len(), per_shard)
-            }
-        }
-    }
-
-    /// [`ShardedIndex::search_batch`] with caller-provided plans
-    /// (`plans[i]` belongs to `batch[i]`, from
-    /// [`ShardedIndex::plan_batch`]). Lets parameter sweeps reuse one
-    /// set of plans across several `params` values — plans are
-    /// parameter-independent by the [`SearchEngine::Plan`] contract.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != batch.len()`.
-    pub fn search_batch_planned(
-        &self,
-        batch: &[E::Query],
-        plans: &[Arc<E::Plan>],
-        params: &E::Params,
-        threads: usize,
-    ) -> Vec<SearchResult<E::Stats>> {
-        assert_eq!(batch.len(), plans.len(), "one plan per query");
-        let ns = self.shards.len();
-        let workers = threads.clamp(1, ns.max(1));
-        let per_shard = if workers <= 1 || ns <= 1 {
-            self.run_serial_planned(batch, plans, params, None)
-        } else {
-            self.with_interior_pool(workers, |pool| {
-                self.run_on_planned(pool, batch, plans, params, None)
-            })
-        };
-        self.merge_planned(batch.len(), per_shard, plans)
+        plans
     }
 
     /// Answers a batch of queries on a caller-owned [`WorkerPool`]
     /// (shared across indexes — and across *domains*, since worker
-    /// scratch is keyed by scratch type). Plans once per query on
-    /// [`ShardedIndex::build_global`] indexes, exactly like
-    /// [`ShardedIndex::search_batch`].
+    /// scratch is keyed by scratch type): plans every query once
+    /// ([`ShardedIndex::plan_batch`]), then runs every shard and merges.
     ///
-    /// Same determinism guarantee as [`ShardedIndex::search_batch`]:
-    /// per-shard results are merged in fixed shard order and sorted.
+    /// Per-shard results are merged in fixed shard order and sorted, so
+    /// the output is deterministic regardless of the pool's size or
+    /// scheduling: two runs of the same batch agree bit-for-bit.
     pub fn search_batch_on(
         &self,
         pool: &WorkerPool,
@@ -528,13 +318,11 @@ impl<E: SearchEngine> ShardedIndex<E> {
 
     /// [`ShardedIndex::search_batch_on`] with per-request tracing: for
     /// every `(trace_id, parent span)` target in `trace`, the index
-    /// emits a `plan` span bracketing the shared plan phase (plan-once
-    /// indexes only), a `pool` span bracketing the whole fan-out
-    /// window, and one `shard` child span per shard measured where the
-    /// work runs (on the worker for the parallel path, on the calling
-    /// thread for the serial fallback). `None` is the zero-cost
-    /// untraced path — byte-identical behaviour to
-    /// [`ShardedIndex::search_batch_on`].
+    /// emits a `plan` span bracketing the shared plan phase, a `pool`
+    /// span bracketing the whole execution window, and one `shard` child
+    /// span per shard measured where the work runs (on the worker for
+    /// the parallel path, on the calling thread for the serial one).
+    /// `None` is the zero-cost untraced path.
     pub fn search_batch_on_traced(
         &self,
         pool: &WorkerPool,
@@ -543,18 +331,13 @@ impl<E: SearchEngine> ShardedIndex<E> {
         trace: Option<&ShardTrace>,
     ) -> Vec<SearchResult<E::Stats>> {
         let start = Instant::now();
-        // One `plan` span per traced query, around the shared plan
-        // phase (absent on legacy-built indexes, which re-plan inside
-        // each shard).
-        let plan_handles: Option<Vec<SpanHandle>> = match trace {
-            Some(t) if self.plan_once && !self.shards.is_empty() => Some(
-                t.targets
-                    .iter()
-                    .map(|&(tid, parent)| t.collector.child_of(tid, parent))
-                    .collect(),
-            ),
-            _ => None,
-        };
+        // One `plan` span per traced query, around the shared plan phase.
+        let plan_handles: Option<Vec<SpanHandle>> = trace.map(|t| {
+            t.targets
+                .iter()
+                .map(|&(tid, parent)| t.collector.child_of(tid, parent))
+                .collect()
+        });
         let plans = self.plan_batch(batch);
         if let (Some(t), Some(handles)) = (trace, plan_handles) {
             let buf = handles
@@ -581,25 +364,13 @@ impl<E: SearchEngine> ShardedIndex<E> {
             });
             (handles, ctx)
         });
-        let shard_trace = exec.as_ref().map(|(_, ctx)| ctx);
-        let merged = match plans {
-            Some(plans) => {
-                let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
-                    self.run_serial_planned(batch, &plans, params, shard_trace)
-                } else {
-                    self.run_on_planned(pool, batch, &plans, params, shard_trace)
-                };
-                self.merge_planned(batch.len(), per_shard, &plans)
-            }
-            None => {
-                let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
-                    self.run_serial(batch, params, shard_trace)
-                } else {
-                    self.run_on(pool, batch, params, shard_trace)
-                };
-                self.merge(batch.len(), per_shard)
-            }
-        };
+        let merged = self.execute(
+            pool,
+            batch,
+            &plans,
+            params,
+            exec.as_ref().map(|(_, ctx)| ctx),
+        );
         if let (Some(t), Some((handles, _))) = (trace, exec) {
             let tags = vec![
                 ("shards", self.shards.len() as u64),
@@ -618,137 +389,99 @@ impl<E: SearchEngine> ShardedIndex<E> {
         merged
     }
 
-    /// Ensures the interior pool has `workers` threads and runs `f` on
-    /// it (shared by the legacy and plan-sharing fan-outs, so the
-    /// ensure/respawn policy cannot diverge between them).
-    fn with_interior_pool(
+    /// The one execution body: runs `batch` with precomputed `plans`
+    /// (`plans[i]` belongs to `batch[i]`, from
+    /// [`ShardedIndex::plan_batch`]) on every shard — on the calling
+    /// thread with one scratch when the index or `pool` has a single
+    /// lane, otherwise one job per shard on `pool` — then merges the
+    /// per-shard answers in fixed shard order, folds each query's
+    /// plan-time statistics in **once** (the shards report
+    /// execution-only statistics) and sorts ids ascending.
+    ///
+    /// Plans are parameter-independent by the [`SearchEngine::Plan`]
+    /// contract, so [`Sweep`](crate::sweep::Sweep) reuses one plan set
+    /// across several `params` values through this entry point.
+    ///
+    /// # Panics
+    /// Panics if the index has shards and `plans.len() != batch.len()`.
+    pub(crate) fn execute(
         &self,
-        workers: usize,
-        f: impl FnOnce(&WorkerPool) -> Vec<ShardBatch<E::Stats>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        // Poison recovery: the guarded Option<WorkerPool> is replaced
-        // wholesale, never half-updated, so a panicking holder leaves it
-        // consistent.
-        let mut guard = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        let pool = guard.get_or_insert_with(|| WorkerPool::new(workers));
-        if pool.workers() != workers {
-            *pool = WorkerPool::new(workers);
-        }
-        f(pool)
-    }
-
-    /// Serial fallback: every shard on the calling thread, one scratch.
-    fn run_serial(
-        &self,
-        batch: &[E::Query],
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let mut scratch = E::Scratch::default();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                shard_spans(trace.map(Arc::as_ref), si, || {
-                    s.run_batch(&mut scratch, batch, params)
-                })
-            })
-            .collect()
-    }
-
-    /// Serial plan-sharing fallback: every shard on the calling thread,
-    /// one scratch, one plan per query.
-    fn run_serial_planned(
-        &self,
+        pool: &WorkerPool,
         batch: &[E::Query],
         plans: &[Arc<E::Plan>],
         params: &E::Params,
         trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let mut scratch = E::Scratch::default();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                shard_spans(trace.map(Arc::as_ref), si, || {
-                    s.run_batch_planned(&mut scratch, batch, plans, params)
+    ) -> Vec<SearchResult<E::Stats>> {
+        assert!(
+            self.shards.is_empty() || plans.len() == batch.len(),
+            "one plan per query"
+        );
+        let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
+            let mut scratch = E::Scratch::default();
+            self.shards
+                .iter()
+                .enumerate()
+                .map(|(si, s)| {
+                    shard_spans(trace.map(Arc::as_ref), si, || {
+                        s.run_batch(&mut scratch, batch, plans, params)
+                    })
                 })
-            })
-            .collect()
+                .collect()
+        } else {
+            self.fan_out(pool, batch, plans, params, trace)
+        };
+        let mut merged: Vec<SearchResult<E::Stats>> =
+            (0..batch.len()).map(|_| SearchResult::default()).collect();
+        for shard_results in per_shard {
+            for (slot, (ids, stats)) in merged.iter_mut().zip(shard_results) {
+                slot.ids.extend(ids);
+                slot.stats.merge(&stats);
+            }
+        }
+        if let Some(shard0) = self.shards.first() {
+            for (res, plan) in merged.iter_mut().zip(plans) {
+                res.stats.merge(&shard0.engine.plan_stats(plan));
+            }
+        }
+        for res in &mut merged {
+            res.ids.sort_unstable();
+        }
+        merged
     }
 
     /// Fans one job per shard out to `pool` and collects per-shard
-    /// results back into shard order.
+    /// results back into fixed shard order. With a trace context, each
+    /// job opens its `shard` spans on the worker thread — queue wait
+    /// inside the pool shows up as the gap between the `pool` span's
+    /// start and the `shard` span's start.
     ///
-    /// Jobs on the persistent pool must be `'static`, so the batch is
-    /// cloned into an `Arc` shared by all jobs (queries are cheap to
-    /// clone relative to a shard search; the server path hands over
-    /// owned queries anyway).
-    fn run_on(
-        &self,
-        pool: &WorkerPool,
-        batch: &[E::Query],
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
-        self.fan_out(
-            pool,
-            move |shard, scratch, params| shard.run_batch(scratch, &batch, params),
-            params,
-            trace,
-        )
-    }
-
-    /// [`ShardedIndex::run_on`] with shared plans: each shard job
-    /// receives `&Plan` references into one `Arc`'d plan set.
-    fn run_on_planned(
+    /// Jobs on the persistent pool must be `'static`, so the batch and
+    /// its plans are cloned into `Arc`s shared by all jobs (queries are
+    /// cheap to clone relative to a shard search; plans are `Arc`s).
+    fn fan_out(
         &self,
         pool: &WorkerPool,
         batch: &[E::Query],
         plans: &[Arc<E::Plan>],
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
-        let plans: Arc<Vec<Arc<E::Plan>>> = Arc::new(plans.to_vec());
-        self.fan_out(
-            pool,
-            move |shard, scratch, params| shard.run_batch_planned(scratch, &batch, &plans, params),
-            params,
-            trace,
-        )
-    }
-
-    /// Shared fan-out skeleton: one job per shard on `pool`, results
-    /// collected back into fixed shard order. With a trace context,
-    /// each job opens its `shard` spans on the worker thread — queue
-    /// wait inside the pool shows up as the gap between the `pool`
-    /// span's start and the `shard` span's start.
-    fn fan_out(
-        &self,
-        pool: &WorkerPool,
-        run: impl Fn(&Shard<E>, &mut E::Scratch, &E::Params) -> ShardBatch<E::Stats>
-            + Clone
-            + Send
-            + Sync
-            + 'static,
         params: &E::Params,
         trace: Option<&Arc<ShardTrace>>,
     ) -> Vec<ShardBatch<E::Stats>> {
         let ns = self.shards.len();
+        let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
+        let plans: Arc<Vec<Arc<E::Plan>>> = Arc::new(plans.to_vec());
         let (tx, rx) = mpsc::channel::<(usize, ShardBatch<E::Stats>)>();
         for si in 0..ns {
             let shards = Arc::clone(&self.shards);
+            let batch = Arc::clone(&batch);
+            let plans = Arc::clone(&plans);
             let params = params.clone();
             let tx = tx.clone();
-            let run = run.clone();
             let trace = trace.cloned();
             pool.submit(move |store| {
                 let scratch = store.get_mut::<E::Scratch>();
                 let result = shard_spans(trace.as_deref(), si, || {
                     // lint: allow(panic) — si ranges over 0..shards.len()
-                    run(&shards[si], scratch, &params)
+                    shards[si].run_batch(scratch, &batch, &plans, &params)
                 });
                 // The receiver only hangs up on panic-unwind; ignore.
                 let _ = tx.send((si, result));
@@ -775,52 +508,6 @@ impl<E: SearchEngine> ShardedIndex<E> {
             // lint: allow(panic) — ns successful receives fill every slot
             .map(|s| s.expect("every shard served"))
             .collect()
-    }
-
-    /// Merges per-shard batches into one [`SearchResult`] per query, in
-    /// fixed shard order, then sorts ids ascending.
-    fn merge(
-        &self,
-        batch_len: usize,
-        per_shard: Vec<ShardBatch<E::Stats>>,
-    ) -> Vec<SearchResult<E::Stats>> {
-        let mut merged: Vec<SearchResult<E::Stats>> = (0..batch_len)
-            .map(|_| SearchResult {
-                ids: Vec::new(),
-                stats: E::Stats::default(),
-            })
-            .collect();
-        for shard_results in per_shard {
-            for (qi, (ids, stats)) in shard_results.into_iter().enumerate() {
-                // lint: allow(panic) — every shard batch has one entry per
-                // query, so qi < batch_len, the length of merged
-                let slot = &mut merged[qi];
-                slot.ids.extend(ids);
-                slot.stats.merge(&stats);
-            }
-        }
-        for res in &mut merged {
-            res.ids.sort_unstable();
-        }
-        merged
-    }
-
-    /// [`ShardedIndex::merge`] plus each query's plan-time statistics,
-    /// folded in **once per query** (the shards reported execution-only
-    /// statistics).
-    fn merge_planned(
-        &self,
-        batch_len: usize,
-        per_shard: Vec<ShardBatch<E::Stats>>,
-        plans: &[Arc<E::Plan>],
-    ) -> Vec<SearchResult<E::Stats>> {
-        let mut merged = self.merge(batch_len, per_shard);
-        if let Some(shard0) = self.shards.first() {
-            for (res, plan) in merged.iter_mut().zip(plans) {
-                res.stats.merge(&shard0.engine.plan_stats(plan));
-            }
-        }
-        merged
     }
 }
 
@@ -919,34 +606,28 @@ mod tests {
 
     fn build_sharded(n: usize, shards: usize) -> (Vec<i64>, ShardedIndex<AbsDiffEngine>) {
         let values: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101).collect();
-        let index = ShardedIndex::build(values.clone(), shards, |values| AbsDiffEngine { values });
+        let index = ShardedIndex::build(
+            values.clone(),
+            shards,
+            |_| (),
+            |_, values| AbsDiffEngine { values },
+        );
         (values, index)
     }
 
-    fn build_counting(
-        n: usize,
-        shards: usize,
-        global: bool,
-    ) -> (Arc<AtomicUsize>, ShardedIndex<CountingEngine>) {
+    fn build_counting(n: usize, shards: usize) -> (Arc<AtomicUsize>, ShardedIndex<CountingEngine>) {
         let values: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101).collect();
         let plans = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&plans);
-        let index = if global {
-            ShardedIndex::build_global(
-                values,
-                shards,
-                |_| (),
-                move |_, values| CountingEngine {
-                    inner: AbsDiffEngine { values },
-                    plans_computed: Arc::clone(&counter),
-                },
-            )
-        } else {
-            ShardedIndex::build(values, shards, move |values| CountingEngine {
+        let index = ShardedIndex::build(
+            values,
+            shards,
+            |_| (),
+            move |_, values| CountingEngine {
                 inner: AbsDiffEngine { values },
                 plans_computed: Arc::clone(&counter),
-            })
-        };
+            },
+        );
         (plans, index)
     }
 
@@ -974,12 +655,13 @@ mod tests {
         let reference = AbsDiffEngine {
             values: values.clone(),
         };
+        let pool = WorkerPool::new(2);
         for k in [1usize, 2, 3, 7, 120, 200] {
-            let index = ShardedIndex::build(values.clone(), k, |values| AbsDiffEngine { values });
+            let (_, index) = build_sharded(120, k);
             for q in [0i64, 17, 50, 100] {
                 let mut expect = Vec::new();
-                let stats = reference.search_into(&mut (), &q, &10, &mut expect);
-                let got = index.search(&q, &10);
+                let stats = reference.search_planned(&mut (), &(), &q, &10, &mut expect);
+                let got = &index.search_batch_on(&pool, &[q], &10)[0];
                 assert_eq!(got.ids, expect, "k={k} q={q}");
                 assert_eq!(got.stats.results, stats.results, "k={k} q={q}");
                 assert_eq!(got.stats.compared, stats.compared, "k={k} q={q}");
@@ -991,10 +673,15 @@ mod tests {
     fn batch_matches_single_and_is_deterministic() {
         let (_, index) = build_sharded(300, 4);
         let batch: Vec<i64> = (0..23).map(|i| i * 9).collect();
-        let serial: Vec<_> = batch.iter().map(|q| index.search(q, &7)).collect();
+        let serial_pool = WorkerPool::new(1);
+        let serial: Vec<_> = batch
+            .iter()
+            .map(|q| index.search_batch_on(&serial_pool, &[*q], &7).remove(0))
+            .collect();
         for threads in [1usize, 2, 4, 8] {
-            let run1 = index.search_batch(&batch, &7, threads);
-            let run2 = index.search_batch(&batch, &7, threads);
+            let pool = WorkerPool::new(threads);
+            let run1 = index.search_batch_on(&pool, &batch, &7);
+            let run2 = index.search_batch_on(&pool, &batch, &7);
             for qi in 0..batch.len() {
                 assert_eq!(run1[qi].ids, serial[qi].ids, "threads={threads} qi={qi}");
                 assert_eq!(run1[qi].ids, run2[qi].ids, "threads={threads} qi={qi}");
@@ -1007,87 +694,76 @@ mod tests {
     fn global_build_plans_once_per_query_for_any_shard_count() {
         let batch: Vec<i64> = (0..10).map(|i| i * 11).collect();
         for k in [1usize, 2, 4, 7] {
-            let (plans, index) = build_counting(300, k, true);
-            assert!(index.plan_once());
+            let (plans, index) = build_counting(300, k);
             for threads in [1usize, 4] {
+                let pool = WorkerPool::new(threads);
                 plans.store(0, Ordering::SeqCst);
-                let _ = index.search_batch(&batch, &7, threads);
+                let _ = index.search_batch_on(&pool, &batch, &7);
                 assert_eq!(
                     plans.load(Ordering::SeqCst),
                     batch.len(),
                     "k={k} threads={threads}: one plan per query, not per shard"
                 );
             }
-            // Single-query path plans once too.
+            // A single-query batch plans once too.
             plans.store(0, Ordering::SeqCst);
-            let _ = index.search(&5, &7);
+            let _ = index.search_batch_on(&WorkerPool::new(1), &[5], &7);
             assert_eq!(plans.load(Ordering::SeqCst), 1, "k={k}");
         }
     }
 
     #[test]
-    fn legacy_build_plans_per_shard_and_matches_global_results() {
-        let batch: Vec<i64> = (0..10).map(|i| i * 11).collect();
-        let (legacy_plans, legacy) = build_counting(300, 4, false);
-        let (_, global) = build_counting(300, 4, true);
-        assert!(!legacy.plan_once());
-        assert!(legacy.plan_batch(&batch).is_none());
-        let legacy_res = legacy.search_batch(&batch, &7, 2);
-        let global_res = global.search_batch(&batch, &7, 2);
-        // The legacy path plans once per (query, shard).
-        assert_eq!(
-            legacy_plans.load(Ordering::SeqCst),
-            batch.len() * legacy.num_shards()
-        );
-        for qi in 0..batch.len() {
-            assert_eq!(legacy_res[qi].ids, global_res[qi].ids, "qi={qi}");
-            assert_eq!(legacy_res[qi].stats, global_res[qi].stats, "qi={qi}");
-        }
-    }
-
-    #[test]
     fn precomputed_plans_are_reusable_across_params() {
-        let (_, index) = build_counting(200, 3, true);
+        let (plans_computed, index) = build_counting(200, 3);
+        let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..8).collect();
-        let plans = index.plan_batch(&batch).expect("global build plans");
+        let plans = index.plan_batch(&batch);
+        assert_eq!(plans.len(), batch.len());
         for params in [3i64, 7, 11] {
-            let via_plans = index.search_batch_planned(&batch, &plans, &params, 2);
-            let direct = index.search_batch(&batch, &params, 2);
+            let via_plans = index.execute(&pool, &batch, &plans, &params, None);
+            let direct = index.search_batch_on(&pool, &batch, &params);
             for qi in 0..batch.len() {
                 assert_eq!(via_plans[qi].ids, direct[qi].ids, "params={params} qi={qi}");
+                assert_eq!(
+                    via_plans[qi].stats, direct[qi].stats,
+                    "params={params} qi={qi}"
+                );
             }
         }
+        // One plan set up front plus one per direct call.
+        assert_eq!(plans_computed.load(Ordering::SeqCst), 4 * batch.len());
     }
 
     #[test]
-    fn search_batch_on_shared_pool_matches_interior_pool() {
+    fn search_batch_on_shared_pool_matches_serial() {
         let (_, index_a) = build_sharded(300, 4);
         let (_, index_b) = build_sharded(150, 3);
         let batch: Vec<i64> = (0..17).map(|i| i * 11).collect();
         let pool = WorkerPool::new(2);
+        let serial_pool = WorkerPool::new(1);
         // The same pool serves two different indexes, repeatedly; the
-        // results must match the interior-pool path every time.
+        // results must match the calling-thread path every time.
         for _ in 0..3 {
             let via_pool = index_a.search_batch_on(&pool, &batch, &9);
-            let via_interior = index_a.search_batch(&batch, &9, 2);
+            let serial = index_a.search_batch_on(&serial_pool, &batch, &9);
             for qi in 0..batch.len() {
-                assert_eq!(via_pool[qi].ids, via_interior[qi].ids, "qi={qi}");
-                assert_eq!(via_pool[qi].stats, via_interior[qi].stats, "qi={qi}");
+                assert_eq!(via_pool[qi].ids, serial[qi].ids, "qi={qi}");
+                assert_eq!(via_pool[qi].stats, serial[qi].stats, "qi={qi}");
             }
             let via_pool_b = index_b.search_batch_on(&pool, &batch, &9);
-            let via_interior_b = index_b.search_batch(&batch, &9, 2);
+            let serial_b = index_b.search_batch_on(&serial_pool, &batch, &9);
             for qi in 0..batch.len() {
-                assert_eq!(via_pool_b[qi].ids, via_interior_b[qi].ids, "qi={qi}");
+                assert_eq!(via_pool_b[qi].ids, serial_b[qi].ids, "qi={qi}");
             }
         }
     }
 
     #[test]
     fn search_batch_on_plans_once_with_shared_pool() {
-        let (plans, index) = build_counting(300, 4, true);
+        let (plans, index) = build_counting(300, 4);
         let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..9).collect();
-        let expect = index.search_batch(&batch, &5, 1);
+        let expect = index.search_batch_on(&WorkerPool::new(1), &batch, &5);
         plans.store(0, Ordering::SeqCst);
         let got = index.search_batch_on(&pool, &batch, &5);
         assert_eq!(plans.load(Ordering::SeqCst), batch.len());
@@ -1101,7 +777,7 @@ mod tests {
         use pigeonring_telemetry::json::Value;
         use pigeonring_telemetry::TraceCollector;
 
-        let (_, index) = build_counting(300, 4, true);
+        let (_, index) = build_counting(300, 4);
         let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..6).collect();
         let collector = Arc::new(TraceCollector::new(0, 256));
@@ -1155,20 +831,26 @@ mod tests {
     }
 
     #[test]
-    fn interior_pool_is_reused_and_resized() {
+    fn pool_reuse_and_size_never_change_answers() {
         let (_, index) = build_sharded(200, 4);
         let batch: Vec<i64> = (0..9).collect();
         let expect: Vec<Vec<u32>> = index
-            .search_batch(&batch, &5, 1)
+            .search_batch_on(&WorkerPool::new(1), &batch, &5)
             .into_iter()
             .map(|r| r.ids)
             .collect();
-        // Same thread count twice (pool reused), then a different one
-        // (pool respawned); answers never change.
-        for threads in [2usize, 2, 3] {
-            let got = index.search_batch(&batch, &5, threads);
+        // One pool reused across batches, then pools of other sizes;
+        // answers never change.
+        let two = WorkerPool::new(2);
+        for pool in [&two, &two, &WorkerPool::new(3)] {
+            let got = index.search_batch_on(pool, &batch, &5);
             for qi in 0..batch.len() {
-                assert_eq!(got[qi].ids, expect[qi], "threads={threads} qi={qi}");
+                assert_eq!(
+                    got[qi].ids,
+                    expect[qi],
+                    "workers={} qi={qi}",
+                    pool.workers()
+                );
             }
         }
     }
@@ -1178,8 +860,37 @@ mod tests {
         let (_, index) = build_sharded(3, 64);
         assert!(index.num_shards() <= 3);
         assert_eq!(index.num_records(), 3);
-        let res = index.search(&0, &1000);
-        assert_eq!(res.ids, vec![0, 1, 2]);
+        let res = index.search_batch_on(&WorkerPool::new(2), &[0], &1000);
+        assert_eq!(res[0].ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn empty_index_answers_every_query_with_nothing() {
+        use pigeonring_telemetry::TraceCollector;
+
+        let (_, index) = build_sharded(0, 4);
+        assert_eq!(index.num_shards(), 0);
+        assert_eq!(index.num_records(), 0);
+        let batch: Vec<i64> = (0..5).collect();
+        assert!(index.plan_batch(&batch).is_empty());
+        let collector = Arc::new(TraceCollector::new(0, 64));
+        let root = collector.sample(true).expect("forced trace");
+        let trace = ShardTrace {
+            collector: Arc::clone(&collector),
+            targets: vec![(root.trace_id, root.id)],
+        };
+        for workers in [1usize, 2] {
+            let pool = WorkerPool::new(workers);
+            let plain = index.search_batch_on(&pool, &batch, &1000);
+            let traced = index.search_batch_on_traced(&pool, &batch, &1000, Some(&trace));
+            for res in [plain, traced] {
+                assert_eq!(res.len(), batch.len(), "workers={workers}");
+                for r in &res {
+                    assert!(r.ids.is_empty(), "workers={workers}");
+                    assert_eq!(r.stats, AbsDiffStats::default(), "workers={workers}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1198,13 +909,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = ShardedIndex::build(vec![1i64], 0, |values| AbsDiffEngine { values });
+        let _ = ShardedIndex::build(vec![1i64], 0, |_| (), |_, values| AbsDiffEngine { values });
     }
 
+    /// The shard count is checked before the corpus-wide dictionary is
+    /// built, so a bad count fails fast instead of after that work.
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected_global() {
-        let _ =
-            ShardedIndex::build_global(vec![1i64], 0, |_| (), |_, values| AbsDiffEngine { values });
+        let _ = ShardedIndex::build(
+            vec![1i64],
+            0,
+            |_| panic!("dictionary built before the shard count was checked"),
+            |_: &(), values| AbsDiffEngine { values },
+        );
     }
 }

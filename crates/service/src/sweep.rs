@@ -1,10 +1,10 @@
 //! Throughput-sweep driver for the service layer.
 //!
-//! [`Sweep::run`] times one `(domain, dataset, shards, batch, threads)`
+//! [`Sweep::run`] times one `(domain, dataset, shards, batch, workers)`
 //! configuration end to end — chunking the query stream into batches,
-//! fanning each batch over the shard pool, and folding every query's
-//! result ids into a deterministic FxHash fingerprint — and records a
-//! [`SweepRow`]. Equal fingerprints across shard counts certify that the
+//! fanning each batch over a caller-owned [`WorkerPool`], and folding
+//! every query's result ids into a deterministic FxHash fingerprint —
+//! and records a [`SweepRow`]. Equal fingerprints across shard counts certify that the
 //! sharded result sets are identical (the `repro fig7 --shards K`
 //! acceptance check); the JSON emitted by [`Sweep::to_json`] is the
 //! `BENCH_service.json` artifact CI uploads.
@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::engine::SearchEngine;
+use crate::pool::WorkerPool;
 use crate::sharded::ShardedIndex;
 use pigeonring_core::fxhash::FxHasher;
 
@@ -26,7 +27,7 @@ pub struct SweepRow {
     pub dataset: String,
     /// Requested shard count.
     pub shards: usize,
-    /// Worker threads used.
+    /// Worker threads of the pool the row ran on.
     pub threads: usize,
     /// Queries per batch.
     pub batch: usize,
@@ -35,8 +36,8 @@ pub struct SweepRow {
     /// Total result ids across all queries.
     pub results: usize,
     /// End-to-end wall time in milliseconds, *including* this row's
-    /// query-plan cost (whether planning ran inline or was precomputed
-    /// by the caller), so rows from [`Sweep::run`] and
+    /// query-plan cost (whether planning ran per batch or was
+    /// precomputed by the caller), so rows from [`Sweep::run`] and
     /// [`Sweep::run_with_plans`] are comparable.
     pub total_ms: f64,
     /// Queries per second over the whole sweep (from `total_ms`).
@@ -51,14 +52,12 @@ pub struct SweepRow {
     pub p95_ms: f64,
     /// 99th-percentile per-query latency in milliseconds.
     pub p99_ms: f64,
-    /// Total wall time spent computing query plans (0 for legacy
-    /// per-shard-dictionary indexes, whose shards plan internally).
+    /// Total wall time spent computing query plans.
     pub plan_ms: f64,
     /// `plan_ms` per query in microseconds — the plan-once acceptance
-    /// metric: flat across shard counts on `build_global` indexes.
+    /// metric: flat across shard counts.
     pub plan_us_per_query: f64,
-    /// Wall time the index spent building its shared dictionary (0 for
-    /// legacy builds).
+    /// Wall time the index spent building its shared dictionary.
     pub dict_build_ms: f64,
     /// Order-sensitive FxHash fingerprint of every query's result ids.
     pub result_hash: u64,
@@ -119,15 +118,13 @@ impl Sweep {
         Sweep::default()
     }
 
-    /// Runs `queries` through `index` in batches of `batch` with
-    /// `threads` workers, records a row labelled `domain`/`dataset`, and
-    /// returns it along with the statistics aggregated over every query
-    /// and shard.
+    /// Runs `queries` through `index` in batches of `batch` on `pool`,
+    /// records a row labelled `domain`/`dataset`, and returns it along
+    /// with the statistics aggregated over every query and shard.
     ///
-    /// On a [`ShardedIndex::build_global`] index every chunk's plans are
-    /// computed once (timed into the row's `plan_ms`) and shared by all
-    /// shards; legacy indexes run the per-shard-planning path with
-    /// `plan_ms = 0`.
+    /// Every chunk's plans are computed once (timed into the row's
+    /// `plan_ms`, outside the per-batch latency window) and shared by
+    /// all shards.
     #[expect(
         clippy::too_many_arguments,
         reason = "one timed configuration is exactly these eight knobs"
@@ -140,11 +137,9 @@ impl Sweep {
         queries: &[E::Query],
         params: &E::Params,
         batch: usize,
-        threads: usize,
+        pool: &WorkerPool,
     ) -> (&SweepRow, E::Stats) {
-        self.run_inner(
-            domain, dataset, index, queries, None, params, batch, threads,
-        )
+        self.run_inner(domain, dataset, index, queries, None, params, batch, pool)
     }
 
     /// [`Sweep::run`] with caller-precomputed plans (one per query, from
@@ -165,7 +160,7 @@ impl Sweep {
         plan_ms: f64,
         params: &E::Params,
         batch: usize,
-        threads: usize,
+        pool: &WorkerPool,
     ) -> (&SweepRow, E::Stats) {
         self.run_inner(
             domain,
@@ -175,7 +170,7 @@ impl Sweep {
             Some((plans, plan_ms)),
             params,
             batch,
-            threads,
+            pool,
         )
     }
 
@@ -192,7 +187,7 @@ impl Sweep {
         shared_plans: Option<(&[Arc<E::Plan>], f64)>,
         params: &E::Params,
         batch: usize,
-        threads: usize,
+        pool: &WorkerPool,
     ) -> (&SweepRow, E::Stats) {
         use crate::engine::MergeStats;
         let batch = batch.max(1);
@@ -209,32 +204,22 @@ impl Sweep {
         let mut served = 0usize;
         for chunk in queries.chunks(batch) {
             // Plan outside the per-batch latency window so p50/p95/p99
-            // mean the same thing whether plans were inlined here or
+            // mean the same thing whether plans were computed here or
             // precomputed by the caller.
-            let chunk_plans = match shared_plans {
-                Some(_) => None,
+            let planned;
+            let chunk_plans: &[Arc<E::Plan>] = match shared_plans {
+                // An index with no shards has an empty plan set; the
+                // execution body checks the length otherwise.
+                Some((plans, _)) => plans.get(served..served + chunk.len()).unwrap_or_default(),
                 None => {
                     let plan_start = Instant::now();
-                    let plans = index.plan_batch(chunk);
-                    if plans.is_some() {
-                        plan_ms += plan_start.elapsed().as_secs_f64() * 1e3;
-                    }
-                    plans
+                    planned = index.plan_batch(chunk);
+                    plan_ms += plan_start.elapsed().as_secs_f64() * 1e3;
+                    &planned
                 }
             };
             let batch_start = Instant::now();
-            let batch_results = match (shared_plans, &chunk_plans) {
-                (Some((plans, _)), _) => index.search_batch_planned(
-                    chunk,
-                    // lint: allow(panic) — plans has one entry per query; served
-                    // + chunk.len() never exceeds queries.len() by the chunking
-                    &plans[served..served + chunk.len()],
-                    params,
-                    threads,
-                ),
-                (None, Some(plans)) => index.search_batch_planned(chunk, plans, params, threads),
-                (None, None) => index.search_batch(chunk, params, threads),
-            };
+            let batch_results = index.execute(pool, chunk, chunk_plans, params, None);
             let batch_ms = batch_start.elapsed().as_secs_f64() * 1e3;
             latencies.extend(std::iter::repeat_n(batch_ms, chunk.len()));
             for res in batch_results {
@@ -263,7 +248,7 @@ impl Sweep {
             domain: domain.to_string(),
             dataset: dataset.to_string(),
             shards: index.requested_shards(),
-            threads,
+            threads: pool.workers(),
             batch,
             queries: queries.len(),
             results,
@@ -398,12 +383,7 @@ mod tests {
 
     fn index(k: usize) -> ShardedIndex<EqEngine> {
         let values: Vec<u32> = (0..64).map(|i| i % 8).collect();
-        ShardedIndex::build(values, k, |values| EqEngine { values })
-    }
-
-    fn global_index(k: usize) -> ShardedIndex<EqEngine> {
-        let values: Vec<u32> = (0..64).map(|i| i % 8).collect();
-        ShardedIndex::build_global(values, k, |_| (), |_, values| EqEngine { values })
+        ShardedIndex::build(values, k, |_| (), |_, values| EqEngine { values })
     }
 
     #[test]
@@ -411,21 +391,23 @@ mod tests {
         let queries: Vec<u32> = (0..16).map(|i| i % 8).collect();
         let mut sweep = Sweep::new();
         let h1 = sweep
-            .run("toy", "t", &index(1), &queries, &(), 4, 1)
+            .run("toy", "t", &index(1), &queries, &(), 4, &WorkerPool::new(1))
             .0
             .result_hash;
         let h4 = sweep
-            .run("toy", "t", &index(4), &queries, &(), 4, 4)
+            .run("toy", "t", &index(4), &queries, &(), 4, &WorkerPool::new(4))
             .0
             .result_hash;
         let h7 = sweep
-            .run("toy", "t", &index(7), &queries, &(), 3, 2)
+            .run("toy", "t", &index(7), &queries, &(), 3, &WorkerPool::new(2))
             .0
             .result_hash;
         assert_eq!(h1, h4);
         assert_eq!(h1, h7);
         assert_eq!(sweep.rows.len(), 3);
         assert_eq!(sweep.rows[0].queries, 16);
+        // The row records the pool's worker count.
+        assert_eq!(sweep.rows[1].threads, 4);
         assert!(sweep.rows[0].results > 0);
     }
 
@@ -434,12 +416,13 @@ mod tests {
         let queries_a: Vec<u32> = vec![0, 1, 2];
         let queries_b: Vec<u32> = vec![0, 1, 3];
         let mut sweep = Sweep::new();
+        let pool = WorkerPool::new(2);
         let ha = sweep
-            .run("toy", "a", &index(2), &queries_a, &(), 2, 2)
+            .run("toy", "a", &index(2), &queries_a, &(), 2, &pool)
             .0
             .result_hash;
         let hb = sweep
-            .run("toy", "b", &index(2), &queries_b, &(), 2, 2)
+            .run("toy", "b", &index(2), &queries_b, &(), 2, &pool)
             .0
             .result_hash;
         assert_ne!(ha, hb);
@@ -451,7 +434,15 @@ mod tests {
         assert_eq!(escape("q\"\\\t"), "q\\\"\\\\\\t");
         assert_eq!(escape("\u{1}"), "\\u0001");
         let mut sweep = Sweep::new();
-        sweep.run("to\ny", "t\"s", &index(2), &[1u32], &(), 1, 1);
+        sweep.run(
+            "to\ny",
+            "t\"s",
+            &index(2),
+            &[1u32],
+            &(),
+            1,
+            &WorkerPool::new(1),
+        );
         let json = sweep.to_json();
         assert!(json.contains("\"domain\": \"to\\ny\""));
         assert!(json.contains("\"dataset\": \"t\\\"s\""));
@@ -473,7 +464,7 @@ mod tests {
     fn rows_carry_latency_percentiles() {
         let queries: Vec<u32> = (0..32).map(|i| i % 8).collect();
         let mut sweep = Sweep::new();
-        sweep.run("toy", "t", &index(2), &queries, &(), 4, 2);
+        sweep.run("toy", "t", &index(2), &queries, &(), 4, &WorkerPool::new(2));
         let row = &sweep.rows[0];
         assert!(row.p50_ms >= 0.0);
         assert!(row.p50_ms <= row.p95_ms);
@@ -489,21 +480,19 @@ mod tests {
     fn rows_carry_plan_and_dictionary_timing() {
         let queries: Vec<u32> = (0..16).map(|i| i % 8).collect();
         let mut sweep = Sweep::new();
-        // Legacy build: shards plan internally, so plan_ms stays 0.
-        sweep.run("toy", "legacy", &index(2), &queries, &(), 4, 1);
-        assert_eq!(sweep.rows[0].plan_ms, 0.0);
-        assert_eq!(sweep.rows[0].dict_build_ms, 0.0);
-        // Dictionary-first build: the plan phase is timed (possibly 0.0
-        // on a coarse clock, but the hash must match the legacy run).
-        let g = global_index(2);
-        sweep.run("toy", "global", &g, &queries, &(), 4, 1);
-        assert!(sweep.rows[1].plan_ms >= 0.0);
-        assert_eq!(sweep.rows[0].result_hash, sweep.rows[1].result_hash);
+        let pool = WorkerPool::new(1);
+        // The plan phase and the dictionary build are timed (possibly
+        // 0.0 on a coarse clock).
+        let g = index(2);
+        sweep.run("toy", "per-batch", &g, &queries, &(), 4, &pool);
+        assert!(sweep.rows[0].plan_ms >= 0.0);
+        assert!(sweep.rows[0].dict_build_ms >= 0.0);
+        assert_eq!(sweep.rows[0].dict_build_ms, g.dictionary_build_ms());
         // Precomputed plans reuse: same answers, caller-measured time.
-        let plans = g.plan_batch(&queries).expect("global build plans");
-        sweep.run_with_plans("toy", "shared", &g, &queries, &plans, 1.25, &(), 4, 1);
-        assert_eq!(sweep.rows[2].result_hash, sweep.rows[1].result_hash);
-        assert!(sweep.rows[2].plan_ms >= 1.25);
+        let plans = g.plan_batch(&queries);
+        sweep.run_with_plans("toy", "shared", &g, &queries, &plans, 1.25, &(), 4, &pool);
+        assert_eq!(sweep.rows[1].result_hash, sweep.rows[0].result_hash);
+        assert!(sweep.rows[1].plan_ms >= 1.25);
         let json = sweep.to_json();
         assert!(json.contains("\"plan_ms\""));
         assert!(json.contains("\"plan_us_per_query\""));
@@ -528,7 +517,15 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let mut sweep = Sweep::new();
-        sweep.run("toy", "t", &index(2), &[1u32, 2], &(), 2, 1);
+        sweep.run(
+            "toy",
+            "t",
+            &index(2),
+            &[1u32, 2],
+            &(),
+            2,
+            &WorkerPool::new(1),
+        );
         let json = sweep.to_json();
         assert!(json.starts_with('{'));
         assert!(json.ends_with('}'));

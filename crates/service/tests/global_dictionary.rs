@@ -1,48 +1,39 @@
-//! Global-dictionary (plan-once) vs legacy per-shard-dictionary builds.
+//! Global-dictionary (plan-once) builds of the sharded index.
 //!
 //! Two properties are pinned here:
 //!
-//! 1. **Result invariance** — for editdist and setsim, the legacy
-//!    per-shard-dictionary build and the dictionary-first
-//!    [`ShardedIndex::build_global`] build return bit-identical result
-//!    sets (equal [`ResultHasher`] fingerprints) for every shard count
-//!    K ∈ {1, 2, 3, 7}. Verification is exact, so the build path can
-//!    shift candidate counts but never results.
+//! 1. **Result invariance** — for editdist and setsim, the
+//!    dictionary-first [`ShardedIndex::build`] returns the same result
+//!    sets as a linear scan over every record (equal [`ResultHasher`]
+//!    fingerprints) for every shard count K ∈ {1, 2, 3, 7}.
 //!
 //! 2. **Resharding determinism** (the `GramOrder::Frequency` regression)
-//!    — a per-shard frequency order makes prefix/pivotal selection — and
-//!    hence per-shard candidate statistics — depend on how records were
-//!    partitioned: the same query set yields *different* aggregate
-//!    filter work at different K. With one corpus-wide dictionary the
-//!    global order is partition-independent, so aggregate candidate
-//!    statistics are exactly equal for every K.
+//!    — a per-shard frequency order would make prefix/pivotal selection
+//!    — and hence per-shard candidate statistics — depend on how records
+//!    were partitioned. With one corpus-wide dictionary the global order
+//!    is partition-independent, so aggregate candidate statistics are
+//!    exactly equal for every K.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pigeonring_datagen::{sample_query_ids, SetConfig, StringConfig};
+use pigeonring_editdist::verify::edit_distance_within;
 use pigeonring_editdist::{
     EditParams, EditStats, GramDictionary, GramOrder, QGramCollection, RingEdit,
 };
-use pigeonring_service::{ResultHasher, ShardedIndex};
-use pigeonring_setsim::{Collection, RingSetSim, SetParams, SetStats, Threshold, TokenDictionary};
+use pigeonring_service::{ResultHasher, ShardedIndex, WorkerPool};
+use pigeonring_setsim::{
+    Collection, LinearScanSets, RingSetSim, SetParams, SetStats, Threshold, TokenDictionary,
+};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 const TAU: usize = 2;
 const KAPPA: usize = 2;
 
-fn edit_legacy(data: &[Vec<u8>], k: usize) -> ShardedIndex<RingEdit> {
-    ShardedIndex::build(data.to_vec(), k, |shard| {
-        RingEdit::build(
-            QGramCollection::build(shard, KAPPA, GramOrder::Frequency),
-            TAU,
-        )
-    })
-}
-
 fn edit_global(data: &[Vec<u8>], k: usize) -> ShardedIndex<RingEdit> {
-    ShardedIndex::build_global(
+    ShardedIndex::build(
         data.to_vec(),
         k,
         |corpus| Arc::new(GramDictionary::build(corpus, KAPPA, GramOrder::Frequency)),
@@ -55,14 +46,8 @@ fn edit_global(data: &[Vec<u8>], k: usize) -> ShardedIndex<RingEdit> {
     )
 }
 
-fn set_legacy(data: &[Vec<u32>], k: usize, t: Threshold) -> ShardedIndex<RingSetSim> {
-    ShardedIndex::build(data.to_vec(), k, move |shard| {
-        RingSetSim::build(Collection::new(shard), t, 5)
-    })
-}
-
 fn set_global(data: &[Vec<u32>], k: usize, t: Threshold) -> ShardedIndex<RingSetSim> {
-    ShardedIndex::build_global(
+    ShardedIndex::build(
         data.to_vec(),
         k,
         |corpus| Arc::new(TokenDictionary::build(corpus)),
@@ -80,8 +65,17 @@ fn batch_hash<E: pigeonring_service::SearchEngine>(
     threads: usize,
 ) -> u64 {
     let mut hasher = ResultHasher::new();
-    for res in index.search_batch(queries, params, threads) {
+    for res in index.search_batch_on(&WorkerPool::new(threads), queries, params) {
         hasher.push(&res.ids);
+    }
+    hasher.finish()
+}
+
+/// Fingerprint of a linear scan's result ids, one id list per query.
+fn scan_hash(answers: impl Iterator<Item = Vec<u32>>) -> u64 {
+    let mut hasher = ResultHasher::new();
+    for ids in answers {
+        hasher.push(&ids);
     }
     hasher.finish()
 }
@@ -90,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn editdist_result_hash_equal_legacy_vs_global(seed in 0u64..1_000) {
+    fn editdist_result_hash_matches_scan(seed in 0u64..1_000) {
         let mut cfg = StringConfig::imdb_like(200);
         cfg.seed = seed;
         let data = cfg.generate();
@@ -99,17 +93,19 @@ proptest! {
             .map(|i| data[i].clone())
             .collect();
         let params = EditParams { l: 3 };
-        let reference = batch_hash(&edit_legacy(&data, 1), &queries, &params, 1);
+        let reference = scan_hash(queries.iter().map(|q| {
+            (0..data.len() as u32)
+                .filter(|&id| edit_distance_within(&data[id as usize], q, TAU as u32).is_some())
+                .collect()
+        }));
         for k in SHARD_COUNTS {
-            let legacy = batch_hash(&edit_legacy(&data, k), &queries, &params, k);
             let global = batch_hash(&edit_global(&data, k), &queries, &params, k);
-            prop_assert_eq!(legacy, reference, "legacy k={}", k);
             prop_assert_eq!(global, reference, "global k={}", k);
         }
     }
 
     #[test]
-    fn setsim_result_hash_equal_legacy_vs_global(seed in 0u64..1_000, tenths in 7usize..9) {
+    fn setsim_result_hash_matches_scan(seed in 0u64..1_000, tenths in 7usize..9) {
         let mut cfg = SetConfig::dblp_like(250);
         cfg.seed = seed;
         let data = cfg.generate();
@@ -119,11 +115,12 @@ proptest! {
             .map(|i| data[i].clone())
             .collect();
         let params = SetParams { l: 2 };
-        let reference = batch_hash(&set_legacy(&data, 1, t), &queries, &params, 1);
+        let collection = Collection::new(data.clone());
+        let scan = LinearScanSets::new(&collection);
+        let reference =
+            scan_hash(queries.iter().map(|q| scan.search(&collection.rank_query(q), t)));
         for k in SHARD_COUNTS {
-            let legacy = batch_hash(&set_legacy(&data, k, t), &queries, &params, k);
             let global = batch_hash(&set_global(&data, k, t), &queries, &params, k);
-            prop_assert_eq!(legacy, reference, "legacy k={}", k);
             prop_assert_eq!(global, reference, "global k={}", k);
         }
     }
@@ -132,17 +129,17 @@ proptest! {
 /// Aggregate editdist filter statistics over a batch on `index`.
 fn edit_agg(index: &ShardedIndex<RingEdit>, queries: &[Vec<u8>]) -> EditStats {
     let mut agg = EditStats::default();
-    for res in index.search_batch(queries, &EditParams { l: 3 }, 2) {
+    for res in index.search_batch_on(&WorkerPool::new(2), queries, &EditParams { l: 3 }) {
         agg.merge(&res.stats);
     }
     agg
 }
 
-/// Regression (ISSUE 5 satellite): `GramOrder::Frequency` built per
-/// shard yields shard-dependent prefix selection — the same queries do
-/// different filter work at different shard counts. The global
-/// dictionary makes per-shard candidate statistics exactly deterministic
-/// under resharding.
+/// Regression: `GramOrder::Frequency` built per shard yields
+/// shard-dependent prefix selection — the same queries do different
+/// filter work at different shard counts. The global dictionary makes
+/// per-shard candidate statistics exactly deterministic under
+/// resharding.
 #[test]
 fn global_dictionary_makes_candidate_stats_resharding_invariant() {
     let data = StringConfig::imdb_like(300).generate();
@@ -164,22 +161,6 @@ fn global_dictionary_makes_candidate_stats_resharding_invariant() {
         );
         assert_eq!(agg.results, baseline.results, "results k={k}");
     }
-
-    // Legacy per-shard dictionaries: the frequency order (and hence
-    // prefix/pivotal selection) depends on the partition, so the same
-    // queries do different filter work at different K. Results still
-    // match (exact verification), but candidate statistics drift — the
-    // defect the global dictionary fixes.
-    let legacy_cand1: Vec<usize> = SHARD_COUNTS
-        .iter()
-        .map(|&k| edit_agg(&edit_legacy(&data, k), &queries).cand1)
-        .collect();
-    assert!(
-        legacy_cand1.windows(2).any(|w| w[0] != w[1]),
-        "expected per-shard frequency orders to shift cand1 across shard \
-         counts, got {legacy_cand1:?} — if this ever becomes invariant the \
-         legacy path has silently changed"
-    );
 }
 
 /// The same resharding-determinism property for setsim: one global token
@@ -195,7 +176,7 @@ fn global_token_dictionary_makes_set_stats_resharding_invariant() {
         .collect();
     let agg = |index: &ShardedIndex<RingSetSim>| -> SetStats {
         let mut agg = SetStats::default();
-        for res in index.search_batch(&queries, &SetParams { l: 2 }, 2) {
+        for res in index.search_batch_on(&WorkerPool::new(2), &queries, &SetParams { l: 2 }) {
             agg.merge(&res.stats);
         }
         agg
@@ -207,18 +188,7 @@ fn global_token_dictionary_makes_set_stats_resharding_invariant() {
         assert_eq!(got.viable_boxes, baseline.viable_boxes, "viable k={k}");
         assert_eq!(got.results, baseline.results, "results k={k}");
         // Plan-once: the signature enumeration is counted once per query
-        // regardless of K, so this is flat too (legacy counted it once
-        // per shard per query).
+        // regardless of K, so this is flat too.
         assert_eq!(got.sig_probes, baseline.sig_probes, "sig_probes k={k}");
     }
-    // Legacy per-shard rank spaces re-enumerate per shard: sig_probes
-    // scales with the (non-empty) shard count instead of staying flat.
-    let legacy_probes: Vec<usize> = SHARD_COUNTS
-        .iter()
-        .map(|&k| agg(&set_legacy(&data, k, t)).sig_probes)
-        .collect();
-    assert!(
-        legacy_probes.windows(2).any(|w| w[0] != w[1]),
-        "expected legacy per-shard enumeration to scale with K, got {legacy_probes:?}"
-    );
 }

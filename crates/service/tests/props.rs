@@ -1,20 +1,26 @@
 //! Property tests for the service layer: for every domain engine, a
 //! [`ShardedIndex`] with K ∈ {1, 2, 3, 7} shards must return exactly the
-//! same result set as the unsharded engine, and repeated runs of the
-//! same batch must agree bit-for-bit.
+//! same result set as a plain linear scan over every record, and
+//! repeated runs of the same batch must agree bit-for-bit.
 //!
 //! Candidate counts may legitimately differ across shard counts
-//! (per-shard gram orders, cost models); the *result* sets may not —
-//! every engine verifies exactly.
+//! (per-shard cost models); the *result* sets may not — every engine
+//! verifies exactly.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring_editdist::{EditParams, GramOrder, QGramCollection, RingEdit};
+use pigeonring_editdist::verify::edit_distance_within;
+use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
+use pigeonring_graph::pars::LinearScanGraphs;
 use pigeonring_graph::{Graph, GraphParams, RingGraph};
-use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, RingHamming};
-use pigeonring_service::ShardedIndex;
-use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold};
+use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, LinearScan, RingHamming};
+use pigeonring_service::{ShardedIndex, WorkerPool};
+use pigeonring_setsim::{
+    Collection, LinearScanSets, RingSetSim, SetParams, Threshold, TokenDictionary,
+};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -34,18 +40,14 @@ proptest! {
             .collect();
         let params = HammingParams { tau, l: 4 };
 
-        let reference =
-            ShardedIndex::build(data.clone(), 1, |shard| {
-                RingHamming::build(shard, 16, AllocationStrategy::CostModel)
-            });
+        let scan = LinearScan::new(&data);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, |shard| {
+            let index = ShardedIndex::build(data.clone(), k, |_| (), |_, shard| {
                 RingHamming::build(shard, 16, AllocationStrategy::CostModel)
             });
-            let got = index.search_batch(&queries, &params, k);
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
-                let expect = reference.search(q, &params);
-                prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
+                prop_assert_eq!(&got[qi].ids, &scan.search(q, tau), "k={} qi={}", k, qi);
             }
         }
     }
@@ -62,16 +64,21 @@ proptest! {
             .collect();
         let params = EditParams { l: 3 };
 
-        let build = |shard: Vec<Vec<u8>>| {
-            RingEdit::build(QGramCollection::build(shard, 2, GramOrder::Frequency), tau)
-        };
-        let reference = ShardedIndex::build(data.clone(), 1, build);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, build);
-            let got = index.search_batch(&queries, &params, k);
+            let index = ShardedIndex::build(
+                data.clone(),
+                k,
+                |corpus| Arc::new(GramDictionary::build(corpus, 2, GramOrder::Frequency)),
+                |dict, shard| {
+                    RingEdit::build(QGramCollection::with_dictionary(shard, Arc::clone(dict)), tau)
+                },
+            );
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
-                let expect = reference.search(q, &params);
-                prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
+                let expect: Vec<u32> = (0..data.len() as u32)
+                    .filter(|&id| edit_distance_within(&data[id as usize], q, tau as u32).is_some())
+                    .collect();
+                prop_assert_eq!(&got[qi].ids, &expect, "k={} qi={}", k, qi);
             }
         }
     }
@@ -88,15 +95,21 @@ proptest! {
             .collect();
         let params = SetParams { l: 2 };
 
-        let build =
-            |shard: Vec<Vec<u32>>| RingSetSim::build(Collection::new(shard), threshold, 5);
-        let reference = ShardedIndex::build(data.clone(), 1, build);
+        let collection = Collection::new(data.clone());
+        let scan = LinearScanSets::new(&collection);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, build);
-            let got = index.search_batch(&queries, &params, k);
+            let index = ShardedIndex::build(
+                data.clone(),
+                k,
+                |corpus| Arc::new(TokenDictionary::build(corpus)),
+                |dict, shard| {
+                    RingSetSim::build(Collection::with_dictionary(shard, Arc::clone(dict)), threshold, 5)
+                },
+            );
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
-                let expect = reference.search(q, &params);
-                prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
+                let expect = scan.search(&collection.rank_query(q), threshold);
+                prop_assert_eq!(&got[qi].ids, &expect, "k={} qi={}", k, qi);
             }
         }
     }
@@ -113,14 +126,13 @@ proptest! {
             .collect();
         let params = GraphParams { l: tau };
 
-        let build = |shard: Vec<Graph>| RingGraph::build(shard, tau);
-        let reference = ShardedIndex::build(data.clone(), 1, build);
+        let scan = LinearScanGraphs::new(&data);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, build);
-            let got = index.search_batch(&queries, &params, k);
+            let index =
+                ShardedIndex::build(data.clone(), k, |_| (), |_, shard| RingGraph::build(shard, tau));
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
-                let expect = reference.search(q, &params);
-                prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
+                prop_assert_eq!(&got[qi].ids, &scan.search(q, tau as u32), "k={} qi={}", k, qi);
             }
         }
     }
@@ -139,11 +151,12 @@ proptest! {
             .map(|i| data[i].clone())
             .collect();
         let params = HammingParams { tau: 64, l: 3 };
-        let index = ShardedIndex::build(data, 3, |shard| {
+        let index = ShardedIndex::build(data, 3, |_| (), |_, shard| {
             RingHamming::build(shard, 32, AllocationStrategy::Even)
         });
-        let run1 = index.search_batch(&queries, &params, 3);
-        let run2 = index.search_batch(&queries, &params, 3);
+        let pool = WorkerPool::new(3);
+        let run1 = index.search_batch_on(&pool, &queries, &params);
+        let run2 = index.search_batch_on(&pool, &queries, &params);
         for qi in 0..queries.len() {
             prop_assert_eq!(&run1[qi].ids, &run2[qi].ids, "qi={}", qi);
             prop_assert_eq!(run1[qi].stats, run2[qi].stats, "qi={}", qi);

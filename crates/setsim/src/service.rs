@@ -5,14 +5,12 @@
 //! token ids, as fed to [`crate::Collection::new`]), not rank arrays.
 //! The plan ([`SetPlan`]) ranks the raw query through the collection's
 //! [`TokenDictionary`](crate::types::TokenDictionary) and enumerates its
-//! k-wise signatures once. With the legacy per-shard build each shard
-//! ranks independently, so plans are shard-local (the default
-//! `search_into` path re-plans per shard — translation preserves set
-//! sizes and overlaps exactly, so results are identical either way).
-//! With a dictionary-first build (`ShardedIndex::build_global` over one
-//! corpus-wide dictionary) all shards share one rank space, so the
-//! service layer ranks and enumerates each query exactly once and every
-//! shard probes with the same pre-enumerated signatures.
+//! k-wise signatures once. The service layer builds every shard against
+//! one corpus-wide dictionary (`ShardedIndex::build`), so all shards
+//! share one rank space: each query is ranked and enumerated exactly
+//! once and every shard probes with the same pre-enumerated signatures.
+//! Translation preserves set sizes and overlaps exactly, so results
+//! equal a search over the raw token sets.
 
 use crate::ring::{RingSetSim, SetPlan, SetScratch, SetStats};
 use pigeonring_service::{MergeStats, SearchEngine};
@@ -96,12 +94,10 @@ mod tests {
         let mut scratch = SetScratch::default();
         let mut out = Vec::new();
         // Token 99 never occurs in the collection.
-        let stats = eng.search_into(
-            &mut scratch,
-            &vec![1, 2, 3, 99],
-            &SetParams { l: 2 },
-            &mut out,
-        );
+        let q = vec![1, 2, 3, 99];
+        let plan = eng.plan(&mut scratch, &q);
+        let mut stats = eng.search_planned(&mut scratch, &plan, &q, &SetParams { l: 2 }, &mut out);
+        stats.merge(&eng.plan_stats(&plan));
         assert_eq!(
             out,
             vec![0],
@@ -123,9 +119,10 @@ mod tests {
         let mut scratch = SetScratch::default();
         for q in &raw {
             let plan = eng.plan(&mut scratch, q);
+            let ranked = eng.collection().rank_query(q);
             for l in 1..=3usize {
-                let mut direct = Vec::new();
-                let direct_stats = eng.search_into(&mut scratch, q, &SetParams { l }, &mut direct);
+                // The engine's own plan-and-search over the ranked query.
+                let (direct, direct_stats) = eng.search_with(&mut scratch, &ranked, l);
                 let mut planned = Vec::new();
                 let mut planned_stats =
                     eng.search_planned(&mut scratch, &plan, q, &SetParams { l }, &mut planned);
